@@ -67,8 +67,7 @@ Emulator::step(TraceRecord *out)
     auto reg = [&](RegIndex r) { return intRegs[r]; };
     auto addr_of = [&](RegIndex base, std::int32_t disp) {
         checkRead(base);
-        const Addr a = static_cast<Addr>(
-            static_cast<std::uint64_t>(reg(base) + disp));
+        const Addr a = static_cast<Addr>(wrapAdd(reg(base), disp));
         if ((a & 7) && opts.faultOnMisaligned) {
             faulted_ = true;
             faultPc_ = this_pc;
@@ -117,10 +116,10 @@ Emulator::step(TraceRecord *out)
         const std::int64_t b = reg(inst.rs2);
         std::int64_t v = 0;
         switch (inst.op) {
-          case Opcode::Add: v = a + b; break;
-          case Opcode::Sub: v = a - b; break;
-          case Opcode::Mul: v = a * b; break;
-          case Opcode::Div: v = b == 0 ? 0 : a / b; break;
+          case Opcode::Add: v = wrapAdd(a, b); break;
+          case Opcode::Sub: v = wrapSub(a, b); break;
+          case Opcode::Mul: v = wrapMul(a, b); break;
+          case Opcode::Div: v = wrapDiv(a, b); break;
           case Opcode::And: v = a & b; break;
           case Opcode::Or: v = a | b; break;
           case Opcode::Xor: v = a ^ b; break;
@@ -151,7 +150,7 @@ Emulator::step(TraceRecord *out)
         const std::int64_t a = reg(inst.rs1);
         std::int64_t v = 0;
         switch (inst.op) {
-          case Opcode::Addi: v = a + inst.imm; break;
+          case Opcode::Addi: v = wrapAdd(a, inst.imm); break;
           case Opcode::Andi: v = a & inst.imm; break;
           case Opcode::Ori: v = a | inst.imm; break;
           case Opcode::Xori: v = a ^ inst.imm; break;
@@ -372,10 +371,10 @@ Emulator::run(std::uint64_t max_insts)
 {
     if (opts.tier == ExecTier::Xlate)
         return runXlate(max_insts);
+    const base::CancelFlags cancel = opts.cancel;
     std::uint64_t n = 0;
     while (!halted_ && (max_insts == 0 || n < max_insts)) {
-        if (opts.cancel && (n & 4095) == 0 &&
-            opts.cancel->load(std::memory_order_relaxed))
+        if (cancel && (n & 4095) == 0 && cancel.raised())
             throw base::CancelledError(
                 "emulator cancelled after " +
                 std::to_string(stats_.insts) + " retired insts");

@@ -26,12 +26,12 @@
 #define DVI_ARCH_EMULATOR_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
 #include "arch/memory.hh"
 #include "arch/xlate.hh"
+#include "base/fault.hh"
 #include "base/reg_mask.hh"
 #include "base/types.hh"
 #include "compiler/executable.hh"
@@ -88,12 +88,13 @@ struct EmulatorOptions
     ExecTier tier = ExecTier::Xlate;
 
     /**
-     * Cooperative cancellation: when non-null, run() polls the flag
-     * every 4k instructions and unwinds with base::CancelledError
-     * once it reads true. Not a scenario axis — never serialized,
-     * never affects the stats of runs that complete.
+     * Cooperative cancellation: when either flag is present, run()
+     * polls both every 4096 instructions (in both tiers) and unwinds
+     * with base::CancelledError once one reads true. Not a scenario
+     * axis — never serialized, never affects the stats of runs that
+     * complete.
      */
-    const std::atomic<bool> *cancel = nullptr;
+    base::CancelFlags cancel;
 };
 
 /** The EmulatorStats fields, each declared once (stats/schema.hh).

@@ -56,8 +56,7 @@ Emulator::checkLiveAt(RegIndex r, std::uint32_t at_pc)
 Addr
 Emulator::xlateAddr(const MicroOp &u)
 {
-    const Addr a = static_cast<Addr>(
-        static_cast<std::uint64_t>(intRegs[u.rs1] + u.imm));
+    const Addr a = static_cast<Addr>(wrapAdd(intRegs[u.rs1], u.imm));
     if ((a & 7) && opts.faultOnMisaligned) {
         faulted_ = true;
         faultPc_ = u.pc;
@@ -125,7 +124,6 @@ Emulator::execBlock(const XBlock &b, TraceRecord *out)
     std::uint32_t u_next = 0;
     Addr eff_addr = 0;
     bool taken = false;
-    std::int64_t tmp = 0;
 
 #if DVI_XLATE_COMPUTED_GOTO
     // Indexed by Opcode; order must match isa::Opcode exactly.
@@ -208,17 +206,16 @@ x_Halt:
     goto x_epilogue;
 
 x_Add:
-    DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] + intRegs[u->rs2]);
+    DVI_XLATE_SET_REG(u->rd, wrapAdd(intRegs[u->rs1], intRegs[u->rs2]));
     goto x_epilogue;
 x_Sub:
-    DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] - intRegs[u->rs2]);
+    DVI_XLATE_SET_REG(u->rd, wrapSub(intRegs[u->rs1], intRegs[u->rs2]));
     goto x_epilogue;
 x_Mul:
-    DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] * intRegs[u->rs2]);
+    DVI_XLATE_SET_REG(u->rd, wrapMul(intRegs[u->rs1], intRegs[u->rs2]));
     goto x_epilogue;
 x_Div:
-    tmp = intRegs[u->rs2];
-    DVI_XLATE_SET_REG(u->rd, tmp == 0 ? 0 : intRegs[u->rs1] / tmp);
+    DVI_XLATE_SET_REG(u->rd, wrapDiv(intRegs[u->rs1], intRegs[u->rs2]));
     goto x_epilogue;
 x_And:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] & intRegs[u->rs2]);
@@ -248,7 +245,7 @@ x_Srl:
     goto x_epilogue;
 
 x_Addi:
-    DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] + u->imm);
+    DVI_XLATE_SET_REG(u->rd, wrapAdd(intRegs[u->rs1], u->imm));
     goto x_epilogue;
 x_Andi:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] & u->imm);
@@ -444,13 +441,14 @@ Emulator::runXlate(std::uint64_t max_insts)
     ensureXlate();
     const std::size_t code_size = exe.code.size();
     const bool live = opts.trackLiveness;
+    const base::CancelFlags cancel = opts.cancel;
     std::uint64_t n = 0;
     std::uint64_t next_cancel = 0;
     while (!halted_) {
         if (max_insts && n >= max_insts)
             break;
-        if (opts.cancel && n >= next_cancel) {
-            if (opts.cancel->load(std::memory_order_relaxed))
+        if (cancel && n >= next_cancel) {
+            if (cancel.raised())
                 throw base::CancelledError(
                     "emulator cancelled after " +
                     std::to_string(stats_.insts) +

@@ -1,7 +1,9 @@
 /**
  * @file
  * C++17 replacements for the <bit> operations the tree relies on
- * (std::popcount / std::countr_zero / std::bit_cast are C++20).
+ * (std::popcount / std::countr_zero / std::bit_cast are C++20), and
+ * the ISA's wrapping integer arithmetic, which signed C++ operators
+ * leave undefined on overflow.
  */
 
 #ifndef DVI_BASE_BITS_HH
@@ -66,6 +68,41 @@ bitCast(const From &from)
     std::memcpy(&to, &from, sizeof(To));
     return to;
 }
+
+/** @name Two's-complement arithmetic
+ * Both emulator tiers compute the ISA's 64-bit integer ops with
+ * these, so overflow wraps instead of being undefined. @{ */
+inline std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+/** Signed division that never traps: x / 0 = 0 (this ISA's rule)
+ * and INT64_MIN / -1 = INT64_MIN (RISC-V's). */
+inline std::int64_t
+wrapDiv(std::int64_t a, std::int64_t b)
+{
+    if (b == 0)
+        return 0;
+    return b == -1 ? wrapSub(0, a) : a / b;
+}
+/** @} */
 
 } // namespace dvi
 

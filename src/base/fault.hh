@@ -12,9 +12,8 @@
  *   BudgetExceeded  the job blew a RunBudget deadline (wall-clock
  *                   watchdog or hardMaxInsts) and was cancelled;
  *   Cancelled       cooperative cancellation was observed mid-run
- *                   (the watchdog raises it; the driver reclassifies
- *                   it as BudgetExceeded when its own watchdog
- *                   fired).
+ *                   (a CancelFlags flag was raised; the driver
+ *                   reclassifies it as BudgetExceeded).
  *
  * Layers deep in the stack (uarch::Core, arch::Emulator, runners)
  * throw these instead of ad-hoc std::runtime_error so the campaign
@@ -25,6 +24,7 @@
 #ifndef DVI_BASE_FAULT_HH
 #define DVI_BASE_FAULT_HH
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -95,6 +95,33 @@ class CancelledError : public Fault
     explicit CancelledError(const std::string &message)
         : Fault(FaultKind::Cancelled, message)
     {
+    }
+};
+
+/**
+ * The two cooperative-cancellation flags a running job polls. `job`
+ * is the job's own flag, raised only by the campaign watchdog at
+ * the job's maxWallMs deadline (null for jobs without one);
+ * `campaign` is its campaign's flag, raised by DELETE, server
+ * shutdown or dvi-run's SIGINT handler (null when the caller passed
+ * none). Both are plain lock-free atomics the setter only stores
+ * to, so a signal handler may raise one. The simulation loops poll
+ * raised() and unwind with CancelledError once it reads true.
+ */
+struct CancelFlags
+{
+    const std::atomic<bool> *job = nullptr;
+    const std::atomic<bool> *campaign = nullptr;
+
+    /** Some flag is present: a loop with none skips polling. */
+    explicit operator bool() const { return job || campaign; }
+
+    bool
+    raised() const
+    {
+        return (job && job->load(std::memory_order_relaxed)) ||
+               (campaign &&
+                campaign->load(std::memory_order_relaxed));
     }
 };
 

@@ -14,7 +14,6 @@
 #ifndef DVI_CORE_LVM_HH
 #define DVI_CORE_LVM_HH
 
-#include "base/logging.hh"
 #include "base/reg_mask.hh"
 #include "base/types.hh"
 #include "isa/registers.hh"
@@ -50,23 +49,6 @@ class Lvm
     liveCount(RegMask within) const
     {
         return (live & within).count();
-    }
-
-    /**
-     * Debug invariant hook (§7: "Errors in E-DVI should be
-     * considered compiler errors"): panic unless every register in
-     * `reads` is live. A read of an LVM-dead register means the DVI
-     * fed to this mask was wrong — the value may already have been
-     * discarded, so the read is not architecturally meaningful.
-     * Called by the timing core's dispatch stage in debug builds.
-     */
-    void
-    assertLive(RegMask reads, const char *context) const
-    {
-        const RegMask dead = reads.minus(live);
-        panic_if(!dead.empty(), "DVI invariant violated (", context,
-                 "): read of dead register(s) ", dead.toString(),
-                 "; live mask ", live.toString());
     }
 
     /** @name Speculation / context-switch support @{ */

@@ -242,58 +242,6 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
         }
     }
 
-    // Bridge the campaign-level cancel into jobs already in
-    // flight. Runners poll the per-job flag (the watchdog's
-    // target), so a campaign cancel must be mirrored into every
-    // active job's flag — otherwise a long job runs to completion
-    // before anyone notices (dvi-serve's DELETE relies on this).
-    struct CancelMirror
-    {
-        std::mutex mu;
-        std::vector<std::atomic<bool> *> active;
-        std::atomic<bool> stop{false};
-        std::thread thread;
-
-        void
-        registerFlag(std::atomic<bool> *flag,
-                     const std::atomic<bool> *campaign)
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            active.push_back(flag);
-            if (campaign->load(std::memory_order_relaxed))
-                flag->store(true, std::memory_order_release);
-        }
-
-        void
-        deregisterFlag(std::atomic<bool> *flag)
-        {
-            std::lock_guard<std::mutex> lk(mu);
-            active.erase(
-                std::find(active.begin(), active.end(), flag));
-        }
-
-        ~CancelMirror()
-        {
-            if (thread.joinable()) {
-                stop.store(true, std::memory_order_release);
-                thread.join();
-            }
-        }
-    } mirror;
-    if (cancel) {
-        mirror.thread = std::thread([&mirror, cancel] {
-            while (!mirror.stop.load(std::memory_order_acquire)) {
-                if (cancel->load(std::memory_order_relaxed)) {
-                    std::lock_guard<std::mutex> lk(mirror.mu);
-                    for (std::atomic<bool> *f : mirror.active)
-                        f->store(true, std::memory_order_release);
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-            }
-        });
-    }
-
     parallelFor(pool, specs.size(), [&](std::size_t i) {
         // Cooperative cancel: jobs that have not started yet become
         // no-ops (their result slots stay default-constructed); the
@@ -325,22 +273,23 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
         double wall = 0.0;
         unsigned attempt = 0;
         for (;;) {
-            std::atomic<bool> jobCancel{false};
+            // The job polls its campaign's flag directly, and its own
+            // flag only when the watchdog arms it for a deadline.
+            std::atomic<bool> deadlineHit{false};
             Watchdog::Id wd = 0;
             const bool deadline =
                 watchdog != nullptr && s.budget.maxWallMs != 0;
             if (deadline)
                 wd = watchdog->arm(
-                    &jobCancel,
+                    &deadlineHit,
                     Watchdog::Clock::now() +
                         std::chrono::milliseconds(
                             s.budget.maxWallMs));
             JobError err;
             bool failed = false;
-            if (cancel)
-                mirror.registerFlag(&jobCancel, cancel);
             try {
-                const sim::CancelScope cancelScope(&jobCancel);
+                const sim::CancelScope cancelScope(
+                    {deadline ? &deadlineHit : nullptr, cancel});
                 DVI_FAILPOINT("driver.job");
                 if (timed) {
                     const auto t0 =
@@ -368,8 +317,6 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
                 err.kind = base::FaultKind::Permanent;
                 err.message = e.what();
             }
-            if (cancel)
-                mirror.deregisterFlag(&jobCancel);
             const bool wdFired =
                 deadline && watchdog->disarm(wd);
 

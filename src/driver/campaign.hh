@@ -160,10 +160,13 @@ struct CampaignOptions
     ExecutableCache *cache = nullptr;
 
     /**
-     * Cooperative cancellation: checked as each job is picked up, so
-     * a set flag makes every not-yet-started job a no-op while jobs
-     * already in flight drain normally. The flag may be set from any
-     * thread (DELETE /campaigns/<id>, a SIGINT handler); the
+     * Cooperative cancellation: a set flag makes every not-yet-
+     * started job a no-op, and every job in flight polls it next to
+     * its own deadline flag (base::CancelFlags) and stops at its
+     * next poll, so run() returns as soon as the running jobs reach
+     * one. The flag may be set from any thread or a signal handler
+     * (DELETE /campaigns/<id>, server shutdown, SIGINT); nothing
+     * waits on it, so setting it needs no lock or notify. The
      * returned report carries cancelled = true and must be treated
      * as partial. nullptr = never cancelled.
      */

@@ -106,8 +106,8 @@ CampaignQueue::shutdown()
         stopping_ = true;
         orphans.swap(pending_);
         // Cooperative cancel for the campaigns mid-run: their
-        // in-flight jobs drain, queued jobs no-op, and the runner
-        // marks them Cancelled.
+        // in-flight jobs stop at their next poll, queued jobs no-op,
+        // and the runner marks them Cancelled.
         for (const auto &s : active_)
             s->requestCancel();
     }

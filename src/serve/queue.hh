@@ -16,7 +16,8 @@
  * straight to Cancelled without running. shutdown() stops admission,
  * cancels everything still pending, raises the cooperative cancel
  * flag on running campaigns, and joins the dispatchers — in-flight
- * jobs drain, nothing is torn down mid-write.
+ * jobs stop at their next cancel poll, nothing is torn down
+ * mid-write.
  */
 
 #ifndef DVI_SERVE_QUEUE_HH
@@ -83,8 +84,8 @@ class CampaignQueue
     unsigned retryAfterSeconds() const;
 
     /** Stop admission, cancel pending sessions, raise cancel on
-     * running ones, join dispatchers (in-flight jobs drain
-     * cooperatively). Idempotent. */
+     * running ones, join dispatchers (in-flight jobs stop at their
+     * next cancel poll). Idempotent. */
     void shutdown();
 
   private:

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <exception>
 #include <utility>
-#include <vector>
 
 #include "base/failpoint.hh"
 #include "base/logging.hh"
@@ -347,7 +346,7 @@ DviServer::handleEvents(const HttpRequest &req,
                         const std::shared_ptr<CampaignSession> &s,
                         HttpResponse &res)
 {
-    // ?from=N resumes a broken stream at a seq cursor (lines_[i]
+    // ?from=N resumes a broken stream at a seq cursor (line i
     // carries seq i); ?follow=0 replays what is buffered and ends
     // instead of tailing to the terminal state.
     std::size_t cursor = 0;
@@ -359,7 +358,7 @@ DviServer::handleEvents(const HttpRequest &req,
 
     if (!res.beginChunked(200, kNdjsonType))
         return;
-    std::vector<std::string> batch;
+    std::string batch;
     for (;;) {
         batch.clear();
         bool more = true;
@@ -369,10 +368,7 @@ DviServer::handleEvents(const HttpRequest &req,
             s->nextLines(cursor, batch, 0);
             more = false;
         }
-        std::string out;
-        for (const std::string &line : batch)
-            out += line;
-        if (!out.empty() && !res.writeChunk(out))
+        if (!batch.empty() && !res.writeChunk(batch))
             return; // subscriber is gone; nothing to clean up
         if (!more)
             break;
@@ -385,8 +381,9 @@ DviServer::handleCancel(const std::shared_ptr<CampaignSession> &s,
                         HttpResponse &res)
 {
     // Still queued: drop it before a dispatcher picks it up.
-    // Running: raise the flag; the driver stops between jobs and
-    // the runner marks the session Cancelled. Terminal: no-op.
+    // Running: raise the flag; every running job stops at its next
+    // poll and the runner marks the session Cancelled. Terminal:
+    // no-op.
     if (!s->terminal() && !queue_.cancelPending(*s))
         s->requestCancel();
     json::Value v = json::Value::object();
@@ -428,11 +425,10 @@ DviServer::handleMetrics(HttpResponse &res)
 void
 DviServer::runCampaign(const std::shared_ptr<CampaignSession> &s)
 {
-    const sim::CampaignManifest &m = s->manifest();
-    driver::Campaign campaign(m.name, m.scenarios);
+    driver::Campaign campaign(s->name(), s->takeScenarios());
 
     driver::CampaignOptions copts;
-    copts.profile = m.profile;
+    copts.profile = s->profile();
     copts.telemetry = &s->sink();
     copts.metrics = &s->metrics();
     copts.cache = &cache_;

@@ -105,9 +105,10 @@ class DviServer
     /**
      * Graceful shutdown: refuse new admissions, cancel pending
      * campaigns, cooperatively cancel running ones (in-flight jobs
-     * drain), then stop the HTTP server (open event streams are
-     * closed by their sessions reaching a terminal state, or
-     * force-closed). Idempotent; ~DviServer calls it too.
+     * stop at their next cancel poll), then stop the HTTP server
+     * (open event streams are closed by their sessions reaching a
+     * terminal state, or force-closed). Idempotent; ~DviServer
+     * calls it too.
      */
     void shutdown();
 

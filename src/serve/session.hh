@@ -9,9 +9,18 @@
  * whose serialized NDJSON lines are buffered for replay and pushed
  * to any number of live `GET /campaigns/<id>/events` subscribers, a
  * per-campaign MetricRegistry (progress counters for the status
- * endpoint), the cooperative cancel flag the driver polls between
- * jobs, and — once Done — the finished report bytes, exactly what
+ * endpoint), the cooperative cancel flag every running job polls,
+ * and — once Done — the finished report bytes, exactly what
  * `dvi-run --manifest` would have written for the same manifest.
+ *
+ * The server keeps every session until it exits, so a finished one
+ * keeps only what the API serves. The dispatcher takes the parsed
+ * scenarios away at dispatch (takeScenarios), leaving the campaign
+ * name, job count and profile flag. The event log is one byte
+ * buffer plus line-end offsets. The terminal transition shrinks the
+ * log and the report to fit and folds the MetricRegistry (a shard
+ * per pool thread that ran a job, or more) into the two counters
+ * the status document reads.
  *
  * Thread model: the HTTP threads read state/lines/report while a
  * queue dispatcher runs the campaign and the driver's pool workers
@@ -62,17 +71,23 @@ class CampaignSession
     std::uint64_t id() const { return id_; }
     /** The public id ("c<N>") used in URLs. */
     const std::string &idString() const { return idString_; }
-    const sim::CampaignManifest &manifest() const
-    {
-        return manifest_;
-    }
+    /** The manifest's campaign name and profile flag. */
+    const std::string &name() const { return name_; }
+    bool profile() const { return profile_; }
+
+    /** Hand the manifest's scenarios to the dispatcher, which builds
+     * the driver::Campaign from them without a copy. Once only; the
+     * session keeps name, job count and profile. */
+    std::vector<sim::Scenario> takeScenarios();
 
     /** The per-campaign telemetry sink. Line-buffered from birth:
      * every event is retained for replay to late subscribers. */
     obs::TelemetrySink &sink() { return sink_; }
 
-    /** Per-campaign operational metrics (driver-updated). */
-    obs::MetricRegistry &metrics() { return metrics_; }
+    /** Per-campaign operational metrics (driver-updated). Valid
+     * until the terminal transition folds them into the status
+     * counters; only the running campaign may use it. */
+    obs::MetricRegistry &metrics() { return *metrics_; }
 
     CampaignState state() const;
     bool terminal() const;
@@ -88,9 +103,9 @@ class CampaignSession
     /** -> Cancelled (cancel observed, or dropped from the queue). */
     void finishCancelled();
 
-    /** Raise the cooperative cancel flag (DELETE, shutdown). The
-     * driver polls it between jobs; a queued session is flipped to
-     * Cancelled by whoever dequeues it. */
+    /** Raise the cooperative cancel flag (DELETE, shutdown). Every
+     * running job polls it and stops at its next poll; a queued
+     * session is flipped to Cancelled by whoever dequeues it. */
     void requestCancel()
     {
         cancel_.store(true, std::memory_order_relaxed);
@@ -113,17 +128,16 @@ class CampaignSession
     std::size_t lineCount() const;
 
     /**
-     * Event-stream cursor: append lines [*cursor, ...) to `out`,
-     * advancing *cursor. When no new line is buffered, blocks up to
-     * `timeoutMs` for one. Returns false once the stream is
-     * complete (session terminal and every line consumed); `out`
-     * may still hold the final batch on a false return, so send
-     * before breaking:
+     * Event-stream cursor: append the bytes of lines [*cursor, ...)
+     * to `out` as one range, advancing *cursor. When no new line is
+     * buffered, blocks up to `timeoutMs` for one. Returns false once
+     * the stream is complete (session terminal and every line
+     * consumed); `out` may still hold the final batch on a false
+     * return, so send before breaking:
      *   for (;;) { out.clear(); bool more = nextLines(...);
      *              send(out); if (!more) break; }
      */
-    bool nextLines(std::size_t &cursor,
-                   std::vector<std::string> &out,
+    bool nextLines(std::size_t &cursor, std::string &out,
                    unsigned timeoutMs) const;
 
     /** Status document for GET /campaigns/<id>: id, campaign name,
@@ -131,18 +145,29 @@ class CampaignSession
     json::Value statusJson() const;
 
   private:
+    /** Enter terminal state `s` and compact (caller holds mu_). */
+    void finishLocked(CampaignState s);
+
     const std::uint64_t id_;
     const std::string idString_;
-    const sim::CampaignManifest manifest_;
+    const std::string name_;
+    const std::size_t jobs_;
+    const bool profile_;
 
     obs::TelemetrySink sink_;      ///< observer-only; line-buffered
-    obs::MetricRegistry metrics_;
     std::atomic<bool> cancel_{false};
 
     mutable std::mutex mu_;
     mutable std::condition_variable cv_;
     CampaignState state_ = CampaignState::Queued;
-    std::vector<std::string> lines_;
+    std::vector<sim::Scenario> scenarios_;  ///< until dispatch
+    /** Per-campaign metrics until the terminal transition, which
+     * folds them into jobsCompleted_ / simInsts_ and frees them. */
+    std::unique_ptr<obs::MetricRegistry> metrics_;
+    std::uint64_t jobsCompleted_ = 0;
+    std::uint64_t simInsts_ = 0;
+    std::string events_;                ///< NDJSON lines, seq order
+    std::vector<std::size_t> lineEnds_; ///< end offset of line i
     std::string report_;
     std::string error_;
     bool degraded_ = false;

@@ -15,8 +15,8 @@ namespace sim
 namespace
 {
 
-/** Thread-local cancel flag installed by CancelScope. */
-thread_local const std::atomic<bool> *t_cancel = nullptr;
+/** Thread-local cancel flags installed by CancelScope. */
+thread_local base::CancelFlags t_cancel;
 
 /**
  * The instruction budget a runner should actually simulate:
@@ -336,10 +336,9 @@ RunnerRegistry::names() const
     return out;  // entries are sorted by construction
 }
 
-CancelScope::CancelScope(const std::atomic<bool> *cancel)
-    : prev_(t_cancel)
+CancelScope::CancelScope(base::CancelFlags flags) : prev_(t_cancel)
 {
-    t_cancel = cancel;
+    t_cancel = flags;
 }
 
 CancelScope::~CancelScope()
@@ -347,7 +346,7 @@ CancelScope::~CancelScope()
     t_cancel = prev_;
 }
 
-const std::atomic<bool> *
+base::CancelFlags
 currentCancel()
 {
     return t_cancel;

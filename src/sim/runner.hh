@@ -19,13 +19,13 @@
 #ifndef DVI_SIM_RUNNER_HH
 #define DVI_SIM_RUNNER_HH
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "arch/emulator.hh"
+#include "base/fault.hh"
 #include "compiler/executable.hh"
 #include "os/scheduler.hh"
 #include "sim/scenario.hh"
@@ -187,28 +187,31 @@ class RunnerRegistry
 const Runner &runnerFor(const std::string &name);
 
 /**
- * Scopes a cooperative-cancellation flag onto the calling thread
- * (the obs::SinkScope idiom). The campaign driver installs one per
- * job attempt; the built-in runners pick it up via currentCancel()
- * and thread it into the simulation loops, which poll it and unwind
- * with base::CancelledError when set (the watchdog sets it at the
- * wall-clock deadline). Nestable; restores the outer flag on exit.
+ * Scopes a job's cancellation flags onto the calling thread (the
+ * obs::SinkScope idiom). The campaign driver installs one per job
+ * attempt, carrying the job flag (set by the watchdog at the job's
+ * maxWallMs deadline; null without one) and the campaign flag (set
+ * by DELETE, server shutdown or a SIGINT handler; null without
+ * one). The built-in runners pick them up via currentCancel() and
+ * thread them into the simulation loops, which poll both and unwind
+ * with base::CancelledError once either is raised. Nestable;
+ * restores the outer flags on exit.
  */
 class CancelScope
 {
   public:
-    explicit CancelScope(const std::atomic<bool> *cancel);
+    explicit CancelScope(base::CancelFlags flags);
     ~CancelScope();
 
     CancelScope(const CancelScope &) = delete;
     CancelScope &operator=(const CancelScope &) = delete;
 
   private:
-    const std::atomic<bool> *prev_;
+    base::CancelFlags prev_;
 };
 
-/** The calling thread's scoped cancel flag; nullptr when none. */
-const std::atomic<bool> *currentCancel();
+/** The calling thread's scoped cancel flags; both null when none. */
+base::CancelFlags currentCancel();
 
 } // namespace sim
 } // namespace dvi

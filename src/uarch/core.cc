@@ -50,7 +50,8 @@ Core::Core(const comp::Executable &exe, const CoreConfig &config)
     : cfg(config),
       emu(exe,
           arch::EmulatorOptions{/*trackLiveness=*/false, true, true, 0,
-                                false, false, config.emuTier}),
+                                false, false, config.emuTier,
+                                /*cancel=*/{}}),
       decoded_(emu.program().decoded()),
       trace_(cfg.fetchQueueSize + traceBatch),
       renamer(cfg.numPhysRegs), lvm(isa::abiEntryLiveMask()),
@@ -172,19 +173,27 @@ Core::checkDispatchReads(const DecodedInst &d,
         // a possibly-dead value the paper sanctions (§5.1).
         if (d.is(DecodedInst::save) && i == 1)
             continue;
-        panic_if(src_pregs[i] == invalidPhysReg,
-                 "DVI invariant violated: ", inst.toString(),
-                 " at pc ", pc, " reads ", isa::intRegName(r),
-                 ", whose mapping a committed kill reclaimed "
-                 "(incorrect E-DVI)");
+        if (src_pregs[i] == invalidPhysReg)
+            throw base::Fault(
+                base::FaultKind::Permanent,
+                "DVI invariant violated: " + inst.toString() +
+                    " at pc " + std::to_string(pc) + " reads " +
+                    isa::intRegName(r) +
+                    ", whose mapping a committed kill reclaimed "
+                    "(incorrect E-DVI)");
         lvm_reads.set(r);
     }
     // The LVM is only maintained when some DVI source feeds it.
-    // Cheap emptiness probe first: the disassembly for the panic
-    // context is formatted only on an actual violation.
-    if ((cfg.dvi.useEdvi || cfg.dvi.useIdvi) &&
-        !lvm_reads.minus(lvm.mask()).empty())
-        lvm.assertLive(lvm_reads, inst.toString().c_str());
+    if (!cfg.dvi.useEdvi && !cfg.dvi.useIdvi)
+        return;
+    const RegMask dead = lvm_reads.minus(lvm.mask());
+    if (!dead.empty())
+        throw base::Fault(base::FaultKind::Permanent,
+                          "DVI invariant violated (" +
+                              inst.toString() +
+                              "): read of dead register(s) " +
+                              dead.toString() + "; live mask " +
+                              lvm.mask().toString());
 }
 
 bool
@@ -809,9 +818,9 @@ Core::run()
     // skipDeadCycles() jumps `now` over arbitrary spans, so cycle-
     // number masks would miss their marks.
     std::uint64_t cancelPoll = 0;
+    const base::CancelFlags cancel = cfg.cancel;
     while (true) {
-        if (cfg.cancel && (++cancelPoll & 1023) == 0 &&
-            cfg.cancel->load(std::memory_order_relaxed))
+        if (cancel && (++cancelPoll & 1023) == 0 && cancel.raised())
             throw base::CancelledError(
                 "timing core cancelled after " +
                 std::to_string(stats_.committedProgInsts) +

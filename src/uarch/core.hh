@@ -157,7 +157,10 @@ class Core
      * register — saving a dead value is exactly what the hardware
      * squashes, and is harmless when executed with elimSaves off.
      * Catches incorrect E-DVI (and fuzz-injected kill-mask faults)
-     * at the first consuming instruction.
+     * at the first consuming instruction (§7: "Errors in E-DVI
+     * should be considered compiler errors"), and throws a permanent
+     * base::Fault naming it, so a campaign quarantines the job and
+     * the fuzz oracle reports it instead of the process aborting.
      */
     void checkDispatchReads(const isa::DecodedInst &d,
                             const PhysRegIndex src_pregs[2],

@@ -7,10 +7,10 @@
 #ifndef DVI_UARCH_CORE_CONFIG_HH
 #define DVI_UARCH_CORE_CONFIG_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "arch/xlate.hh"
+#include "base/fault.hh"
 #include "mem/cache.hh"
 #include "predictor/branch_predictor.hh"
 
@@ -116,13 +116,14 @@ struct CoreConfig
     /** @} */
 
     /**
-     * Cooperative cancellation: when non-null, run() polls the flag
-     * every ~1k loop iterations and unwinds with
-     * base::CancelledError once it reads true (the campaign watchdog
-     * sets it at the wall-clock deadline). Not a config axis — never
+     * Cooperative cancellation: when either flag is present, run()
+     * polls both every 1024 loop iterations and unwinds with
+     * base::CancelledError once one reads true (the job flag is the
+     * watchdog's at the wall-clock deadline, the campaign flag is
+     * DELETE's, shutdown's or SIGINT's). Not a config axis — never
      * serialized, never affects stats of runs that complete.
      */
-    const std::atomic<bool> *cancel = nullptr;
+    base::CancelFlags cancel;
 
     /** Scale issue width and matching resources (Fig. 11's 8-way
      * configuration doubles the functional units and widths). */

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -324,9 +325,10 @@ TEST_F(ChaosTest, DegradedReportRoundTripsAsManifest)
 
 // ------------------------------------------- watchdog & budgets
 
-/** A runner that never finishes on its own: it spins until the
- * scoped cancel flag (set by the campaign watchdog) is raised, then
- * unwinds with CancelledError exactly like the simulation loops. */
+/** A runner that never finishes on its own: it spins until one of
+ * the scoped cancel flags (the watchdog's job flag or the campaign
+ * flag) is raised, then unwinds with CancelledError exactly like
+ * the simulation loops. */
 class SpinRunner : public sim::Runner
 {
   public:
@@ -340,11 +342,10 @@ class SpinRunner : public sim::Runner
     sim::RunResult
     run(const sim::Scenario &, const comp::Executable &) const override
     {
-        const std::atomic<bool> *cancel = sim::currentCancel();
+        const base::CancelFlags cancel = sim::currentCancel();
         const auto deadline = std::chrono::steady_clock::now() +
                               std::chrono::seconds(20);
-        while (!cancel ||
-               !cancel->load(std::memory_order_relaxed)) {
+        while (!cancel.raised()) {
             if (std::chrono::steady_clock::now() > deadline)
                 throw std::runtime_error(
                     "spin runner: cancel never arrived");
@@ -406,6 +407,41 @@ TEST_F(ChaosTest, WatchdogCancelsStuckJobAndReclaimsWorker)
     EXPECT_FALSE(report.results[1].failed);
     EXPECT_GT(report.results[1].run.ipc, 0.0);
     EXPECT_EQ(gaugeValue(metrics, "campaign.watchdogFires"), 1u);
+}
+
+TEST_F(ChaosTest, CampaignCancelStopsInFlightJobWithoutDeadline)
+{
+    registerSpinRunner();
+
+    // No maxWallMs, so no watchdog and no job flag: the spinning job
+    // can only see the campaign flag, which the observer raises as
+    // the job begins.
+    driver::Campaign c("campaign-cancel");
+    sim::Scenario stuck;
+    stuck.runner = "spin";
+    stuck.workload = workload::BenchmarkId::Li;
+    stuck.budget.maxInsts = 1000;
+    c.add(stuck);
+
+    std::atomic<bool> cancel{false};
+    obs::TelemetrySink sink;
+    sink.addObserver([&cancel](const obs::Event &e) {
+        if (std::strcmp(e.kind, "job-begin") == 0)
+            cancel.store(true, std::memory_order_relaxed);
+    });
+    driver::CampaignOptions copts;
+    copts.jobs = 1;
+    copts.telemetry = &sink;
+    copts.cancel = &cancel;
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const driver::CampaignReport report = c.run(copts);
+    EXPECT_TRUE(report.cancelled);
+    ASSERT_EQ(report.results.size(), 1u);
+    EXPECT_TRUE(report.results[0].failed);
+    // Well inside the spin runner's own 20 s give-up.
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
 }
 
 TEST_F(ChaosTest, HardInstructionDeadlineQuarantinesJob)

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -224,6 +226,39 @@ TEST(XlateTier, BranchTakenAndNotTakenMatchInterpreter)
     // through: both terminator outcomes on the same block.
     expectTierParity(comp::compile(testprog::sumProgram(100)),
                      EmulatorOptions{});
+
+    // Integer overflow wraps in both tiers, and INT64_MIN / -1 is
+    // INT64_MIN (RISC-V's rule) instead of a SIGFPE.
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 5, 0, 1),
+        Instruction::aluImm(Opcode::Addi, 6, 0, 63),
+        Instruction::alu(Opcode::Sll, 7, 5, 6),     // r7 = 1 << 63
+        Instruction::aluImm(Opcode::Addi, 8, 0, -1),
+        Instruction::alu(Opcode::Div, 9, 7, 8),     // MIN / -1
+        Instruction::alu(Opcode::Sub, 10, 7, 5),    // MIN - 1
+        Instruction::alu(Opcode::Add, 11, 10, 5),   // MAX + 1
+        Instruction::alu(Opcode::Mul, 12, 7, 8),    // MIN * -1
+        Instruction::aluImm(Opcode::Addi, 13, 10, 1),  // MAX + 1
+        Instruction::alu(Opcode::Div, 14, 5, 0),    // 1 / 0
+        Instruction::halt(),
+    });
+    expectTierParity(exe, EmulatorOptions{});
+    const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    for (const ExecTier tier : {ExecTier::Interp, ExecTier::Xlate}) {
+        EmulatorOptions opts;
+        opts.tier = tier;
+        Emulator emu(exe, opts);
+        emu.run();
+        EXPECT_TRUE(emu.halted());
+        EXPECT_EQ(emu.intReg(7), min);
+        EXPECT_EQ(emu.intReg(9), min);
+        EXPECT_EQ(emu.intReg(10), max);
+        EXPECT_EQ(emu.intReg(11), min);
+        EXPECT_EQ(emu.intReg(12), min);
+        EXPECT_EQ(emu.intReg(13), min);
+        EXPECT_EQ(emu.intReg(14), 0);
+    }
 }
 
 TEST(XlateTier, RecursionAndLvmOracleMatchInterpreter)

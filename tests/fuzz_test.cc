@@ -12,8 +12,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "arch/emulator.hh"
+#include "base/fault.hh"
 #include "base/test_seed.hh"
 #include "analysis/lint.hh"
 #include "compiler/compile.hh"
@@ -327,11 +329,12 @@ INSTANTIATE_TEST_SUITE_P(StaticAndDynamic, FaultInjectionTest,
                          });
 
 #ifndef NDEBUG
-TEST(CoreInvariantDeath, DispatchReadOfKilledRegisterPanics)
+TEST(CoreInvariant, DispatchReadOfKilledRegisterThrows)
 {
     // The debug-build hook in uarch::Core::doDispatch: a committed
     // instruction reading a register whose mapping a kill reclaimed
-    // is incorrect E-DVI and must panic, not simulate on.
+    // is incorrect E-DVI and must stop the run with a permanent
+    // fault, not simulate on (nor abort the process).
     using isa::Instruction;
     using isa::Opcode;
     comp::Executable exe;
@@ -345,7 +348,15 @@ TEST(CoreInvariantDeath, DispatchReadOfKilledRegisterPanics)
     uarch::CoreConfig cc;
     cc.dvi = uarch::DviConfig::full();
     uarch::Core core(exe, cc);
-    EXPECT_DEATH(core.run(), "DVI invariant");
+    try {
+        core.run();
+        ADD_FAILURE() << "dead read was not caught";
+    } catch (const base::Fault &f) {
+        EXPECT_EQ(f.kind(), base::FaultKind::Permanent);
+        EXPECT_NE(std::string(f.what()).find("DVI invariant"),
+                  std::string::npos)
+            << f.what();
+    }
 }
 #endif
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "base/failpoint.hh"
+#include "base/json.hh"
 #include "driver/campaign.hh"
 #include "serve/server.hh"
 #include "sim/manifest.hh"
@@ -434,13 +435,34 @@ TEST(Serve, EventStreamIsGaplessNdjsonMatchingTelemetryProtocol)
             << "line " << i << ": " << lines[i];
     }
 
-    // A ranged replay resumes mid-stream.
-    const ClientResponse tail = httpRequest(
-        server.port(), "GET",
-        "/campaigns/c1/events?follow=0&from=" +
-            std::to_string(lines.size() - 1));
-    ASSERT_EQ(tail.status, 200);
-    EXPECT_EQ(tail.body, lines.back() + "\n");
+    // A ranged replay resumes mid-stream; from=0 is the whole stream
+    // and from=<line count> an empty body.
+    const auto replayFrom = [&](std::size_t from) {
+        const ClientResponse r = httpRequest(
+            server.port(), "GET",
+            "/campaigns/c1/events?follow=0&from=" +
+                std::to_string(from));
+        EXPECT_EQ(r.status, 200);
+        return r.body;
+    };
+    EXPECT_EQ(replayFrom(lines.size() - 1), lines.back() + "\n");
+    EXPECT_EQ(replayFrom(0), events.body);
+    EXPECT_EQ(replayFrom(lines.size()), "");
+
+    // The finished session still reports its counts.
+    const ClientResponse status =
+        httpRequest(server.port(), "GET", "/campaigns/c1");
+    ASSERT_EQ(status.status, 200);
+    const json::ParseResult doc = json::parse(status.body);
+    ASSERT_TRUE(doc.ok()) << status.body;
+    const auto count = [&doc](const char *key) {
+        const json::Value *v = doc.value.find(key);
+        return v ? v->u64() : ~std::uint64_t{0};
+    };
+    const std::uint64_t jobs = sim::paperPresets().size();
+    EXPECT_EQ(count("jobs"), jobs);
+    EXPECT_EQ(count("jobsCompleted"), jobs);
+    EXPECT_EQ(count("events"), lines.size());
     server.shutdown();
 }
 

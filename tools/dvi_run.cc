@@ -162,9 +162,10 @@ applyOverrides(sim::Scenario &s,
 }
 
 // SIGINT/SIGTERM request a *cooperative* stop: the campaign skips
-// jobs that have not started, in-flight jobs run to completion, and
-// every sink flushes whole NDJSON lines before exit 0. The handler
-// itself only flips the atomic (async-signal-safe).
+// jobs that have not started, in-flight jobs stop at their next
+// cancel poll, and every sink flushes whole NDJSON lines before
+// exit 0. The handler itself only flips the lock-free atomic
+// (async-signal-safe); the jobs poll it directly.
 std::atomic<bool> g_interrupted{false};
 
 void

@@ -4,9 +4,9 @@
  *
  * Front end over serve::DviServer: parse sizing flags, install the
  * telemetry plumbing, start the server, and turn SIGINT/SIGTERM
- * into a graceful drain — in-flight jobs finish, every
- * TelemetrySink flushes whole NDJSON lines, and the process exits
- * 0.
+ * into a graceful stop — in-flight jobs stop at their next cancel
+ * poll, every TelemetrySink flushes whole NDJSON lines, and the
+ * process exits 0.
  *
  * Usage:
  *   dvi-serve [--port P] [--max-concurrent N] [--max-queue N]
@@ -72,7 +72,7 @@ usage(const char *argv0)
         "\n"
         "endpoints: POST /campaigns, GET /campaigns[/<id>[/report|\n"
         "/events]], DELETE /campaigns/<id>, GET /healthz, GET\n"
-        "/metrics. SIGINT/SIGTERM drain in-flight jobs and exit 0.\n",
+        "/metrics. SIGINT/SIGTERM cancel running campaigns and exit 0.\n",
         argv0);
 }
 
@@ -169,7 +169,7 @@ main(int argc, char **argv)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(100));
 
-        inform("dvi-serve: signal received; draining ",
+        inform("dvi-serve: signal received; cancelling ",
                server.campaignsSubmitted(),
                " submitted campaign(s)");
         server.shutdown();
