@@ -4,8 +4,8 @@
  *
  * One value type (json::Value) backs every machine-readable artifact
  * the simulator emits or consumes: campaign reports, scenario
- * manifests, and BENCH files. Three properties matter more here than
- * generality:
+ * manifests, fuzz repros and telemetry events. Three properties
+ * matter more here than generality:
  *
  *  - **Byte-stable emission.** Objects remember insertion order and
  *    doubles print in their shortest round-trippable form, so a

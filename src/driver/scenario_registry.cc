@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "driver/ablations.hh"
 #include "driver/figures.hh"
-#include "driver/perf.hh"
 
 namespace dvi
 {
@@ -26,7 +25,6 @@ ScenarioRegistry::ScenarioRegistry() : impl(std::make_shared<Impl>())
     // job is self-registration would be dropped by the linker.
     registerFigureScenarios(*this);
     registerAblationScenarios(*this);
-    registerPerfScenarios(*this);
 }
 
 ScenarioRegistry &
@@ -98,36 +96,10 @@ scenarioManifest(const RegisteredScenario &s,
         s.build(resolveScenarioInsts(s, max_insts));
     sim::CampaignManifest m;
     m.name = campaign.name();
-    m.profile = s.profile;
     m.scenarios.reserve(campaign.size());
     for (const JobSpec &job : campaign.jobs())
         m.scenarios.push_back(job.scenario);
     return m;
-}
-
-CampaignReport
-runScenario(const std::string &name, const ScenarioOptions &opts,
-            std::ostream &os)
-{
-    const RegisteredScenario &s = scenarioFor(name);
-    const Campaign campaign =
-        s.build(resolveScenarioInsts(s, opts.maxInsts));
-    CampaignOptions copts;
-    copts.jobs = opts.jobs;
-    copts.profile = opts.profile || s.profile;
-    CampaignReport report = campaign.run(copts);
-    if (s.emit)
-        s.emit(report);
-    if (s.render) {
-        // Custom renderers index into the grid; an empty report is
-        // a broken builder, not a renderable state.
-        panic_if(report.results.empty(), "scenario '", name,
-                 "' built an empty campaign");
-        s.render(report, os);
-    } else {
-        os << report.toTable().render();
-    }
-    return report;
 }
 
 } // namespace driver

@@ -5,13 +5,13 @@
  * The registry maps a scenario name ("fig05", "ablation-lvm-stack-
  * depth", ...) to a campaign builder and a renderer. `dvi-run
  * --scenario NAME` and `--list`, `dvi-lint`, and the manifest
- * emitter all resolve through it, so every figure runs one way and a
- * new experiment is one registration — no driver changes.
+ * emitter all resolve through it; callers build the campaign, run it
+ * and render the report themselves, so every figure runs one way and
+ * a new experiment is one registration — no driver changes.
  *
  * The built-in entries (the paper's figure campaigns from
- * figures.cc, the ablations from ablations.cc and the throughput
- * scenario from perf.cc) are registered on first use; clients may
- * add their own before looking them up.
+ * figures.cc and the ablations from ablations.cc) are registered on
+ * first use; clients may add their own before looking them up.
  */
 
 #ifndef DVI_DRIVER_SCENARIO_REGISTRY_HH
@@ -41,10 +41,6 @@ struct RegisteredScenario
      * --max-insts` overrides it. */
     std::uint64_t defaultInsts = 200000;
 
-    /** Always run with per-job wall-clock profiling (throughput
-     * scenarios); otherwise profiling is opt-in via --profile. */
-    bool profile = false;
-
     /** Build the job grid for the given budget (never 0 — the
      * registry resolves defaults before calling). */
     std::function<Campaign(std::uint64_t insts)> build;
@@ -54,10 +50,6 @@ struct RegisteredScenario
      * only — suppressed by --quiet and preset filters. */
     std::function<void(const CampaignReport &, std::ostream &)>
         render;
-
-    /** Emit the scenario's machine-readable artifacts (e.g. a BENCH
-     * file). Always invoked after a run, quiet or not. */
-    std::function<void(const CampaignReport &)> emit;
 };
 
 /** Name-to-scenario resolution. */
@@ -98,19 +90,6 @@ std::uint64_t resolveScenarioInsts(const RegisteredScenario &s,
  */
 sim::CampaignManifest scenarioManifest(const RegisteredScenario &s,
                                        std::uint64_t max_insts);
-
-/** Options for runScenario. */
-struct ScenarioOptions
-{
-    unsigned jobs = 1;          ///< worker threads (0 = hardware)
-    std::uint64_t maxInsts = 0; ///< 0 = scenario default
-    bool profile = false;       ///< per-job wall-clock in reports
-};
-
-/** Build, run, and render one scenario; returns the report. */
-CampaignReport runScenario(const std::string &name,
-                           const ScenarioOptions &opts,
-                           std::ostream &os);
 
 } // namespace driver
 } // namespace dvi

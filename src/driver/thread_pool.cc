@@ -47,27 +47,44 @@ ThreadPool::hardwareThreads()
 void
 ThreadPool::submit(Task task)
 {
-    panic_if(!task, "ThreadPool::submit: empty task");
-    const std::size_t q =
-        nextQueue.fetch_add(1, std::memory_order_relaxed) %
-        queues.size();
-    // Count the task before publishing it: once it is visible in a
-    // deque it can finish (and decrement) at any moment, and wait()
+    std::vector<Task> one;
+    one.push_back(std::move(task));
+    submitAll(std::move(one));
+}
+
+void
+ThreadPool::submitAll(std::vector<Task> tasks)
+{
+    const std::size_t n = tasks.size();
+    if (n == 0)
+        return;
+    for (const Task &task : tasks)
+        panic_if(!task, "ThreadPool::submit: empty task");
+    const std::size_t first =
+        nextQueue.fetch_add(n, std::memory_order_relaxed);
+    // Count the tasks before publishing them: once one is visible in
+    // a deque it can finish (and decrement) at any moment, and wait()
     // must not observe unfinished == 0 while this submission is
     // still in flight.
-    unfinished.fetch_add(1, std::memory_order_relaxed);
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    queued.fetch_add(1, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lk(queues[q]->mu);
-        queues[q]->tasks.push_back(std::move(task));
+    unfinished.fetch_add(n, std::memory_order_relaxed);
+    submitted_.fetch_add(n, std::memory_order_relaxed);
+    queued.fetch_add(n, std::memory_order_release);
+    const std::size_t k = queues.size();
+    for (std::size_t q = 0; q < n && q < k; ++q) {
+        WorkerQueue &wq = *queues[(first + q) % k];
+        std::lock_guard<std::mutex> lk(wq.mu);
+        for (std::size_t i = q; i < n; i += k)
+            wq.tasks.push_back(std::move(tasks[i]));
     }
     {
         // Pair the notify with the waiters' predicate check so a
         // worker that just found every deque empty cannot miss it.
         std::lock_guard<std::mutex> lk(mu);
     }
-    cvWork.notify_one();
+    if (n == 1)
+        cvWork.notify_one();
+    else
+        cvWork.notify_all();
 }
 
 void
@@ -90,8 +107,8 @@ ThreadPool::popOwn(std::size_t self, Task &out)
     std::lock_guard<std::mutex> lk(queues[self]->mu);
     if (queues[self]->tasks.empty())
         return false;
-    out = std::move(queues[self]->tasks.back());
-    queues[self]->tasks.pop_back();
+    out = std::move(queues[self]->tasks.front());
+    queues[self]->tasks.pop_front();
     queued.fetch_sub(1, std::memory_order_relaxed);
     return true;
 }
@@ -161,27 +178,40 @@ TaskGroup::~TaskGroup()
 void
 TaskGroup::submit(ThreadPool::Task task)
 {
-    panic_if(!task, "TaskGroup::submit: empty task");
+    std::vector<ThreadPool::Task> one;
+    one.push_back(std::move(task));
+    submitAll(std::move(one));
+}
+
+void
+TaskGroup::submitAll(std::vector<ThreadPool::Task> tasks)
+{
+    for (const ThreadPool::Task &task : tasks)
+        panic_if(!task, "TaskGroup::submit: empty task");
     {
         std::lock_guard<std::mutex> lk(mu_);
-        ++unfinished_;
+        unfinished_ += tasks.size();
     }
-    pool_.submit([this, task = std::move(task)] {
-        try {
-            // Chaos site inside the group's try: an injected fault
-            // surfaces through wait() as the group's firstError —
-            // the path a real task-wrapper failure would take.
-            DVI_FAILPOINT("pool.task");
-            task();
-        } catch (...) {
+    std::vector<ThreadPool::Task> wrapped;
+    wrapped.reserve(tasks.size());
+    for (ThreadPool::Task &task : tasks)
+        wrapped.push_back([this, task = std::move(task)] {
+            try {
+                // Chaos site inside the group's try: an injected fault
+                // surfaces through wait() as the group's firstError —
+                // the path a real task-wrapper failure would take.
+                DVI_FAILPOINT("pool.task");
+                task();
+            } catch (...) {
+                std::lock_guard<std::mutex> lk(mu_);
+                if (!firstError_)
+                    firstError_ = std::current_exception();
+            }
             std::lock_guard<std::mutex> lk(mu_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lk(mu_);
-        if (--unfinished_ == 0)
-            cv_.notify_all();
-    });
+            if (--unfinished_ == 0)
+                cv_.notify_all();
+        });
+    pool_.submitAll(std::move(wrapped));
 }
 
 void
@@ -201,8 +231,11 @@ parallelFor(ThreadPool &pool, std::size_t n,
             const std::function<void(std::size_t)> &fn)
 {
     TaskGroup group(pool);
+    std::vector<ThreadPool::Task> tasks;
+    tasks.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        group.submit([&fn, i] { fn(i); });
+        tasks.push_back([&fn, i] { fn(i); });
+    group.submitAll(std::move(tasks));
     group.wait();
 }
 

@@ -3,12 +3,15 @@
  * Work-stealing thread pool.
  *
  * Each worker owns a deque; submissions are distributed round-robin
- * across the deques, a worker pops its own deque LIFO (cache-warm),
- * and an idle worker steals FIFO from the other deques (oldest work
- * first, which tends to steal the largest remaining chunks of a
- * parallel-for). The pool is completion-order agnostic by design:
- * callers that need deterministic output must key results by a task
- * index (see parallelFor and driver::Campaign).
+ * across the deques, and a worker takes the oldest task from its own
+ * deque before stealing the oldest from another's. The pool is
+ * therefore FIFO per deque, and submitAll() publishes each deque's
+ * share of a batch at once: a one-worker pool runs a batch in
+ * submission order and sees the same queue depth at each task
+ * whatever the timing, so a serial campaign's jobs (and its
+ * telemetry stream) are deterministic. With more workers completion
+ * order is unspecified: callers that need deterministic output must
+ * key results by a task index (see parallelFor and driver::Campaign).
  *
  * The first exception a task throws is captured and rethrown from
  * wait(); subsequent exceptions are dropped. After wait() returns or
@@ -56,6 +59,11 @@ class ThreadPool
 
     /** Enqueue a task. Safe from any thread, including workers. */
     void submit(Task task);
+
+    /** Enqueue tasks as one batch, in order. Each deque receives its
+     * share under one lock hold, so no worker starts a batch it has
+     * only partly seen. Safe from any thread. */
+    void submitAll(std::vector<Task> tasks);
 
     /** @name Observability counters
      * Relaxed atomics maintained on the submit / steal / completion
@@ -152,6 +160,10 @@ class TaskGroup
 
     /** Enqueue a task on the pool, tracked by this group. */
     void submit(ThreadPool::Task task);
+
+    /** Enqueue tasks as one batch (ThreadPool::submitAll), tracked by
+     * this group. */
+    void submitAll(std::vector<ThreadPool::Task> tasks);
 
     /** Block until every task submitted through this group has
      * finished; rethrows the first exception one raised. */

@@ -16,7 +16,8 @@
  *
  * Branch and call targets are stored as absolute instruction indices
  * (the linker resolves labels). The architectural encoding is 4 bytes
- * per instruction; see isa/encoding.hh.
+ * per instruction (sizeBytes); the simulator keeps instructions in
+ * this decoded form and never packs them.
  */
 
 #ifndef DVI_ISA_INSTRUCTION_HH

@@ -177,12 +177,6 @@ setGlobalSink(TelemetrySink *sink)
     setLogHook(sink ? &logMirror : nullptr);
 }
 
-TelemetrySink *
-globalSink()
-{
-    return g_sink.load(std::memory_order_acquire);
-}
-
 void
 setCoreSampleInsts(std::uint64_t everyInsts)
 {

@@ -181,9 +181,6 @@ class TelemetrySink
  * call before starting and after finishing parallel work. */
 void setGlobalSink(TelemetrySink *sink);
 
-/** The installed global sink; nullptr when telemetry is off. */
-TelemetrySink *globalSink();
-
 /** Committed-instruction interval for the timing core's mid-run
  * stats samples (see CoreConfig::sampleEveryInsts); 0 disables.
  * Read by the timing runner when it configures each core. */

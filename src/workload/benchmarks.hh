@@ -23,8 +23,8 @@
  *
  * Parameter values are calibrated so the suite's characterization
  * table is *representative* of SPEC95 integer codes (the paper's
- * Fig. 3 numbers are not recoverable from the scanned text); see
- * EXPERIMENTS.md.
+ * Fig. 3 numbers are not recoverable from the scanned text); the
+ * `fig03` scenario prints that table (`dvi-run --scenario fig03`).
  */
 
 #ifndef DVI_WORKLOAD_BENCHMARKS_HH

@@ -290,11 +290,12 @@ TEST(Figures, EverySupportedFigureIsRegistered)
 
 TEST(Figures, Fig02RendersTheMachineItRan)
 {
-    driver::ScenarioOptions opts;
-    opts.maxInsts = 1000;
-    std::ostringstream os;
+    const driver::RegisteredScenario &fig02 =
+        driver::scenarioFor("fig02");
     const driver::CampaignReport report =
-        driver::runScenario("fig02", opts, os);
+        fig02.build(1000).run(driver::CampaignOptions{});
+    std::ostringstream os;
+    fig02.render(report, os);
     ASSERT_EQ(report.results.size(), 1u);
     EXPECT_FALSE(report.results[0].failed);
     EXPECT_NE(os.str().find("Figure 2: Machine configuration"),

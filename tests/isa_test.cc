@@ -1,14 +1,12 @@
 /**
  * @file
  * Unit tests for the ISA: calling convention masks, instruction
- * construction/classification, binary encoding, disassembly.
+ * construction/classification, decoding, disassembly.
  */
 
 #include <gtest/gtest.h>
 
-#include "base/rng.hh"
 #include "isa/decode.hh"
-#include "isa/encoding.hh"
 #include "isa/instruction.hh"
 #include "isa/registers.hh"
 
@@ -275,32 +273,6 @@ TEST(DecodedInst, AgreesWithInstructionQueriesForEveryOpcode)
                                             : RegMask{};
         EXPECT_EQ(RegMask(d.killMask), kill) << op;
     }
-}
-
-TEST(Encoding, RoundTripsRandomInstructions)
-{
-    Rng rng(1234);
-    for (int trial = 0; trial < 2000; ++trial) {
-        Instruction i;
-        i.op = static_cast<Opcode>(rng.below(
-            static_cast<std::uint64_t>(Opcode::NumOpcodes)));
-        i.rd = static_cast<RegIndex>(rng.below(32));
-        i.rs1 = static_cast<RegIndex>(rng.below(32));
-        i.rs2 = static_cast<RegIndex>(rng.below(32));
-        i.imm = static_cast<std::int32_t>(rng.next());
-        EXPECT_EQ(decode(encode(i)), i);
-    }
-}
-
-TEST(Encoding, KillMaskSurvivesEncoding)
-{
-    auto k = Instruction::kill(RegMask{16, 22, 30});
-    EXPECT_EQ(decode(encode(k)).killMask(), (RegMask{16, 22, 30}));
-}
-
-TEST(EncodingDeath, BadOpcodePanics)
-{
-    EXPECT_DEATH((void)decode(0xff), "invalid opcode");
 }
 
 TEST(Disasm, RepresentativeStrings)

@@ -51,6 +51,59 @@ sumProgram(int n)
 }
 
 /**
+ * A loop that keeps any instruction window full. Each iteration
+ * extends one serial chain of divides (x = x / 1, 12-cycle latency
+ * each) and bumps six accumulators that do not depend on it, so
+ * fetch runs far ahead of the oldest divide and the window fills at
+ * any size. main stores x and the accumulators to globals[0..6];
+ * halt.
+ */
+inline prog::Module
+windowFillProgram(int iters)
+{
+    using namespace prog;
+    Module mod;
+    mod.name = "window-fill";
+    mod.globalWords = 8;
+    mod.procs.resize(1);
+    Procedure &main = mod.procs[0];
+    main.name = "main";
+
+    VReg zero = main.newVReg();
+    VReg one = main.newVReg();
+    VReg i = main.newVReg();
+    VReg x = main.newVReg();
+    VReg acc[6];
+    for (VReg &a : acc)
+        a = main.newVReg();
+    VReg gp = main.newVReg();
+
+    int b0 = main.newBlock();
+    main.emit(b0, irLoadImm(zero, 0));
+    main.emit(b0, irLoadImm(one, 1));
+    main.emit(b0, irLoadImm(i, iters));
+    main.emit(b0, irLoadImm(x, 1000003));
+    for (VReg a : acc)
+        main.emit(b0, irLoadImm(a, 0));
+
+    int loop = main.newBlock();
+    main.emit(loop, irAlu(IrOp::Div, x, x, one));
+    for (int k = 0; k < 6; ++k)
+        main.emit(loop, irAluImm(IrOp::AddImm, acc[k], acc[k], k + 1));
+    main.emit(loop, irAluImm(IrOp::AddImm, i, i, -1));
+    main.emit(loop, irBranch(IrOp::Bne, i, zero, loop));
+
+    int done = main.newBlock();
+    main.emit(done, irLoadImm(gp, static_cast<std::int32_t>(
+                                      Module::globalBase)));
+    main.emit(done, irStore(x, gp, 0));
+    for (int k = 0; k < 6; ++k)
+        main.emit(done, irStore(acc[k], gp, 8 * (k + 1)));
+    main.emit(done, irHalt());
+    return mod;
+}
+
+/**
  * fact(n): recursive factorial; main stores fact(n) to globals[0].
  */
 inline prog::Module

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the work-stealing thread pool: completion,
- * index-ordered results, exception propagation, reuse after wait,
- * nested submission, and clean shutdown.
+ * one-worker submission order, index-ordered results, exception
+ * propagation, reuse after wait, nested submission, and clean
+ * shutdown.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +39,29 @@ TEST(ThreadPool, SingleThreadWorks)
         pool.submit([&count] { ++count; });
     pool.wait();
     EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPool, OneWorkerRunsTasksInSubmissionOrder)
+{
+    // A one-worker campaign must run its jobs in index order, seeing
+    // the whole rest of the batch queued, however soon the worker
+    // woke: its telemetry stream (job order, progress queue depth) is
+    // documented as deterministic.
+    driver::ThreadPool pool(1);
+    constexpr std::size_t n = 64;
+    for (int iter = 0; iter < 200; ++iter) {
+        std::vector<std::size_t> order;
+        std::vector<std::size_t> depth;
+        driver::parallelFor(pool, n, [&](std::size_t i) {
+            order.push_back(i);
+            depth.push_back(pool.queueDepth());
+        });
+        ASSERT_EQ(order.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(order[i], i) << "iteration " << iter;
+            ASSERT_EQ(depth[i], n - 1 - i) << "iteration " << iter;
+        }
+    }
 }
 
 TEST(ThreadPool, ParallelForOrdersResultsByIndex)

@@ -10,7 +10,9 @@
  * Reports embed each job's resolved scenario (sparse diff form), so
  * the one field that legitimately differs — `emu.tier` itself — is
  * stripped from the provenance before comparison; every metric byte
- * must then match.
+ * must then match. The interpreter side runs on one worker and the
+ * translation side on four, so the sweep also proves every
+ * registered scenario's report is independent of the job count.
  */
 
 #include <gtest/gtest.h>
@@ -59,10 +61,12 @@ stripEmuTier(const json::Value &v)
     return v;
 }
 
-/** The scenario's report with every job forced to `tier`. */
+/** The scenario's report with every job forced to `tier`, run on
+ * `jobs` workers. */
 json::Value
 reportWithTier(const driver::RegisteredScenario &entry,
-               std::uint64_t insts, arch::ExecTier tier)
+               std::uint64_t insts, arch::ExecTier tier,
+               unsigned jobs)
 {
     const driver::Campaign base = entry.build(insts);
     std::vector<sim::Scenario> scenarios;
@@ -75,7 +79,7 @@ reportWithTier(const driver::RegisteredScenario &entry,
     const driver::Campaign campaign(entry.name,
                                     std::move(scenarios));
     driver::CampaignOptions opts;
-    opts.jobs = 4;
+    opts.jobs = jobs;
     const json::ParseResult parsed =
         json::parse(campaign.run(opts).toJson());
     EXPECT_EQ(parsed.error, "") << entry.name;
@@ -92,9 +96,9 @@ TEST(TierSweep, EveryRegisteredScenarioIsTierInvariant)
         // same budget, so the comparison is exact regardless.
         const std::uint64_t insts = 600;
         const json::Value interp = stripEmuTier(
-            reportWithTier(entry, insts, arch::ExecTier::Interp));
+            reportWithTier(entry, insts, arch::ExecTier::Interp, 1));
         const json::Value xlate = stripEmuTier(
-            reportWithTier(entry, insts, arch::ExecTier::Xlate));
+            reportWithTier(entry, insts, arch::ExecTier::Xlate, 4));
         EXPECT_EQ(interp.dump(), xlate.dump()) << name;
     }
 }

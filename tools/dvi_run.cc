@@ -182,7 +182,9 @@ main(int argc, char **argv)
     std::string scenario;
     std::string manifest_path;
     std::string emit_manifest;
-    driver::ScenarioOptions opts;
+    unsigned jobs = 1;
+    std::uint64_t max_insts = 0;
+    bool profile = false;
     std::string out_path;
     std::string format = "json";
     std::string mode_filter;
@@ -224,11 +226,10 @@ main(int argc, char **argv)
             overrides.push_back(
                 {kv.substr(0, eq), kv.substr(eq + 1)});
         } else if (arg == "--jobs") {
-            opts.jobs =
-                static_cast<unsigned>(parseUint("--jobs", value()));
+            jobs = static_cast<unsigned>(parseUint("--jobs", value()));
             jobs_given = true;
         } else if (arg == "--max-insts") {
-            opts.maxInsts = parseUint("--max-insts", value());
+            max_insts = parseUint("--max-insts", value());
         } else if (arg == "--mode") {
             mode_filter = value();
         } else if (arg == "--out") {
@@ -236,7 +237,7 @@ main(int argc, char **argv)
         } else if (arg == "--format") {
             format = value();
         } else if (arg == "--profile") {
-            opts.profile = true;
+            profile = true;
         } else if (arg == "--telemetry") {
             telemetry_path = value();
         } else if (arg == "--metrics-interval") {
@@ -277,13 +278,13 @@ main(int argc, char **argv)
         // a user passing --mode expects a smaller manifest, not the
         // full grid.
         fatal_if(!mode_filter.empty() || jobs_given ||
-                     format != "json" || opts.profile || quiet ||
+                     format != "json" || profile || quiet ||
                      !telemetry_path.empty() || metrics_interval ||
                      progress,
                  "--emit-manifest only combines with --max-insts, "
                  "--set, and --out");
         sim::CampaignManifest m = driver::scenarioManifest(
-            driver::scenarioFor(emit_manifest), opts.maxInsts);
+            driver::scenarioFor(emit_manifest), max_insts);
         for (sim::Scenario &s : m.scenarios)
             applyOverrides(s, overrides);
         const std::string text = sim::manifestToJson(m);
@@ -332,23 +333,21 @@ main(int argc, char **argv)
 
     const driver::RegisteredScenario *entry = nullptr;
     driver::Campaign campaign("");
-    bool profile_default = false;
     if (!scenario.empty()) {
         entry = &driver::scenarioFor(scenario);
         campaign = entry->build(
-            driver::resolveScenarioInsts(*entry, opts.maxInsts));
-        profile_default = entry->profile;
+            driver::resolveScenarioInsts(*entry, max_insts));
     } else {
         sim::CampaignManifest m;
         const std::string err =
             sim::manifestFromJson(readFile(manifest_path), m);
         fatal_if(!err.empty(), manifest_path, ": ", err);
-        fatal_if(opts.maxInsts != 0,
+        fatal_if(max_insts != 0,
                  "--max-insts does not apply to manifests; use "
                  "--set budget.maxInsts=",
-                 opts.maxInsts, " instead");
+                 max_insts, " instead");
         campaign = driver::Campaign(m.name, std::move(m.scenarios));
-        profile_default = m.profile;
+        profile = profile || m.profile;
     }
 
     // A figure-specific renderer assumes the exact grid its builder
@@ -385,8 +384,8 @@ main(int argc, char **argv)
     }
 
     driver::CampaignOptions copts;
-    copts.jobs = opts.jobs;
-    copts.profile = opts.profile || profile_default;
+    copts.jobs = jobs;
+    copts.profile = profile;
     if (retries_given)
         copts.retry.maxRetries = retries;
 
@@ -516,10 +515,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Artifact emission (e.g. BENCH files) is not display: it runs
-    // under --quiet and preset filters alike.
-    if (entry && entry->emit)
-        entry->emit(report);
     const double secs =
         std::chrono::duration<double>(t1 - t0).count();
 
