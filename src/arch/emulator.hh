@@ -88,10 +88,11 @@ struct EmulatorOptions
     ExecTier tier = ExecTier::Xlate;
 
     /**
-     * Cooperative cancellation: when either flag is present, run()
-     * polls both every 4096 instructions (in both tiers) and unwinds
-     * with base::CancelledError once one reads true. Not a scenario
-     * axis — never serialized, never affects the stats of runs that
+     * Cooperative cancellation: when a deadline or a campaign flag
+     * is present, run() polls both every 4096 instructions (in both
+     * tiers) and unwinds with base::CancelledError once the deadline
+     * has passed or the flag reads true. Not a scenario axis —
+     * never serialized, never affects the stats of runs that
      * complete.
      */
     base::CancelFlags cancel;

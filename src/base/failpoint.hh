@@ -42,7 +42,7 @@
  *   driver.compile        ExecutableCache compile-once path
  *   driver.job            Campaign per-job run (inside retry loop)
  *   driver.aggregate      Campaign aggregation after all jobs
- *   pool.task             TaskGroup task wrapper on the thread pool
+ *   pool.task             parallelFor's per-task wrapper
  *   serve.request         DviServer request dispatch (after /healthz)
  *   obs.telemetry.write   TelemetrySink file write (error-style)
  */

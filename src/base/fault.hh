@@ -9,11 +9,12 @@
  *                   chaos fault tagged transient);
  *   Permanent       deterministic failure — retrying would reproduce
  *                   it, so the job is quarantined immediately;
- *   BudgetExceeded  the job blew a RunBudget deadline (wall-clock
- *                   watchdog or hardMaxInsts) and was cancelled;
+ *   BudgetExceeded  the job blew a RunBudget deadline (maxWallMs
+ *                   or hardMaxInsts) and was cancelled;
  *   Cancelled       cooperative cancellation was observed mid-run
- *                   (a CancelFlags flag was raised; the driver
- *                   reclassifies it as BudgetExceeded).
+ *                   (CancelFlags raised: a deadline passed or the
+ *                   campaign flag was set; the driver reclassifies
+ *                   it as BudgetExceeded).
  *
  * Layers deep in the stack (uarch::Core, arch::Emulator, runners)
  * throw these instead of ad-hoc std::runtime_error so the campaign
@@ -25,6 +26,7 @@
 #define DVI_BASE_FAULT_HH
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -88,7 +90,7 @@ class FaultInjected : public Fault
     std::string site_;
 };
 
-/** Cooperative cancellation observed mid-run (watchdog, shutdown). */
+/** Cooperative cancellation observed mid-run (deadline, shutdown). */
 class CancelledError : public Fault
 {
   public:
@@ -99,29 +101,44 @@ class CancelledError : public Fault
 };
 
 /**
- * The two cooperative-cancellation flags a running job polls. `job`
- * is the job's own flag, raised only by the campaign watchdog at
- * the job's maxWallMs deadline (null for jobs without one);
- * `campaign` is its campaign's flag, raised by DELETE, server
- * shutdown or dvi-run's SIGINT handler (null when the caller passed
- * none). Both are plain lock-free atomics the setter only stores
- * to, so a signal handler may raise one. The simulation loops poll
- * raised() and unwind with CancelledError once it reads true.
+ * What a running job polls to learn it should stop: its attempt's
+ * wall-clock deadline (time_point::max() = none; the campaign
+ * driver sets attempt start + maxWallMs) and its campaign's flag,
+ * raised by DELETE, server shutdown or dvi-run's SIGINT handler
+ * (null when the caller passed none). The flag is a plain lock-free
+ * atomic the setter only stores to, so a signal handler may raise
+ * it. The simulation loops poll raised() and unwind with
+ * CancelledError once it reads true; with a deadline, each poll
+ * reads the clock once.
  */
 struct CancelFlags
 {
-    const std::atomic<bool> *job = nullptr;
+    using Clock = std::chrono::steady_clock;
+
+    Clock::time_point deadline = Clock::time_point::max();
     const std::atomic<bool> *campaign = nullptr;
 
-    /** Some flag is present: a loop with none skips polling. */
-    explicit operator bool() const { return job || campaign; }
+    /** A deadline or a flag is present: a loop with neither skips
+     * polling. */
+    explicit operator bool() const
+    {
+        return campaign || deadline != Clock::time_point::max();
+    }
+
+    /** The deadline is set and has passed. */
+    bool
+    expired() const
+    {
+        return deadline != Clock::time_point::max() &&
+               Clock::now() >= deadline;
+    }
 
     bool
     raised() const
     {
-        return (job && job->load(std::memory_order_relaxed)) ||
-               (campaign &&
-                campaign->load(std::memory_order_relaxed));
+        return (campaign &&
+                campaign->load(std::memory_order_relaxed)) ||
+               expired();
     }
 };
 

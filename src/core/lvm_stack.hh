@@ -90,16 +90,6 @@ class LvmStack
     std::uint64_t underflows() const { return underflows_; }
     /** @} */
 
-    /** @name Speculation support (checkpoint both data and shape) @{ */
-    struct Checkpoint
-    {
-        std::vector<RegMask> entries;
-    };
-
-    Checkpoint checkpoint() const { return Checkpoint{entries}; }
-    void restore(const Checkpoint &cp) { entries = cp.entries; }
-    /** @} */
-
     static RegMask allLive() { return RegMask::firstN(isa::numIntRegs); }
 
   private:

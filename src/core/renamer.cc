@@ -28,29 +28,6 @@ Renamer::Renamer(unsigned num_phys_regs) : numPhys(num_phys_regs)
     }
 }
 
-
-
-
-Renamer::Checkpoint
-Renamer::checkpoint() const
-{
-    return Checkpoint{map, freeList};
-}
-
-void
-Renamer::restore(const Checkpoint &cp)
-{
-    map = cp.map;
-    freeList = cp.freeList;
-    isFree.assign(numPhys, 0);
-    for (PhysRegIndex p : freeList)
-        isFree[static_cast<std::size_t>(p)] = 1;
-    isMapped.assign(numPhys, 0);
-    for (PhysRegIndex p : map)
-        if (p != invalidPhysReg)
-            isMapped[static_cast<std::size_t>(p)] = 1;
-}
-
 unsigned
 Renamer::mappedCount() const
 {
@@ -58,16 +35,6 @@ Renamer::mappedCount() const
     for (PhysRegIndex p : map)
         n += p != invalidPhysReg;
     return n;
-}
-
-RegMask
-Renamer::unmappedArchRegs() const
-{
-    RegMask m;
-    for (unsigned r = 0; r < isa::numIntRegs; ++r)
-        if (map[r] == invalidPhysReg)
-            m.set(static_cast<RegIndex>(r));
-    return m;
 }
 
 void

@@ -10,8 +10,9 @@
  * definition of r then has no previous mapping to free. Because
  * freeing is unrecoverable, the caller must only invoke the
  * commit-side operations for instructions known to be
- * non-speculative; the decode-side map updates are protected by
- * checkpoints.
+ * non-speculative. The trace-driven core (DESIGN §2) renames only
+ * correct-path instructions, so the map is never rolled back and
+ * the class keeps no checkpoints.
  *
  * The map table entry for an unmapped name is invalidPhysReg; reading
  * an unmapped name is a program error (incorrect E-DVI — §7 "Errors
@@ -24,7 +25,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/reg_mask.hh"
+#include "base/logging.hh"
 #include "base/types.hh"
 #include "isa/registers.hh"
 
@@ -130,26 +131,11 @@ class Renamer
 
     /** @} */
 
-    /** @name Speculation recovery @{ */
-    struct Checkpoint
-    {
-        std::vector<PhysRegIndex> map;
-        std::vector<PhysRegIndex> freeList;
-    };
-
-    Checkpoint checkpoint() const;
-    void restore(const Checkpoint &cp);
-    /** @} */
-
     /** @name Introspection (tests, statistics) @{ */
     unsigned numPhysRegs() const { return numPhys; }
 
     /** Number of architectural names currently mapped. */
     unsigned mappedCount() const;
-
-    /** Architectural names currently unmapped (killed, not yet
-     * redefined). */
-    RegMask unmappedArchRegs() const;
 
     /**
      * Invariant: every physical register is free, mapped, or owned by

@@ -6,7 +6,6 @@
 
 #include "base/failpoint.hh"
 #include "base/logging.hh"
-#include "driver/watchdog.hh"
 #include "obs/trace.hh"
 
 namespace dvi
@@ -159,7 +158,6 @@ struct CampaignMetrics
     obs::MetricId simInsts;
     obs::MetricId cacheHits;
     obs::MetricId cacheMisses;
-    obs::MetricId poolSteals;
     obs::MetricId queueDepth;
     obs::MetricId jobWallMs;
     obs::MetricId retries;
@@ -171,7 +169,6 @@ struct CampaignMetrics
           simInsts(reg.counter("campaign.simInsts")),
           cacheHits(reg.gauge("cache.hits")),
           cacheMisses(reg.gauge("cache.misses")),
-          poolSteals(reg.gauge("pool.steals")),
           queueDepth(reg.gauge("pool.queueDepth")),
           jobWallMs(reg.histogram("campaign.jobWallMs")),
           retries(reg.counter("campaign.retries")),
@@ -230,17 +227,8 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
     const bool timed = profile || sink != nullptr;
     const std::atomic<bool> *cancel = opts.cancel;
     const RetryPolicy retryPolicy = opts.retry;
-
-    // One watchdog serves every deadline-bearing job; created lazily
-    // so deadline-free campaigns (the common case) spawn no extra
-    // thread.
-    std::unique_ptr<Watchdog> watchdog;
-    for (const JobSpec &j : jobs_) {
-        if (j.scenario.budget.maxWallMs) {
-            watchdog = std::make_unique<Watchdog>();
-            break;
-        }
-    }
+    // Jobs quarantined for passing their wall-clock deadline.
+    std::atomic<std::uint64_t> deadlineFires{0};
 
     parallelFor(pool, specs.size(), [&](std::size_t i) {
         // Cooperative cancel: jobs that have not started yet become
@@ -273,23 +261,18 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
         double wall = 0.0;
         unsigned attempt = 0;
         for (;;) {
-            // The job polls its campaign's flag directly, and its own
-            // flag only when the watchdog arms it for a deadline.
-            std::atomic<bool> deadlineHit{false};
-            Watchdog::Id wd = 0;
-            const bool deadline =
-                watchdog != nullptr && s.budget.maxWallMs != 0;
-            if (deadline)
-                wd = watchdog->arm(
-                    &deadlineHit,
-                    Watchdog::Clock::now() +
-                        std::chrono::milliseconds(
-                            s.budget.maxWallMs));
+            // The job polls its campaign's flag and, with maxWallMs,
+            // this attempt's deadline.
+            base::CancelFlags flags;
+            flags.campaign = cancel;
+            if (s.budget.maxWallMs)
+                flags.deadline = base::CancelFlags::Clock::now() +
+                                 std::chrono::milliseconds(
+                                     s.budget.maxWallMs);
             JobError err;
             bool failed = false;
             try {
-                const sim::CancelScope cancelScope(
-                    {deadline ? &deadlineHit : nullptr, cancel});
+                const sim::CancelScope cancelScope(flags);
                 DVI_FAILPOINT("driver.job");
                 if (timed) {
                     const auto t0 =
@@ -317,9 +300,6 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
                 err.kind = base::FaultKind::Permanent;
                 err.message = e.what();
             }
-            const bool wdFired =
-                deadline && watchdog->disarm(wd);
-
             if (!failed) {
                 results[i].retries = attempt;
                 break;
@@ -328,10 +308,13 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
             // Drop whatever the failed attempt left in the slot.
             results[i] = JobResult();
 
-            if (wdFired ||
+            const bool pastDeadline = flags.expired();
+            if (pastDeadline ||
                 err.kind == base::FaultKind::Cancelled) {
                 err.kind = base::FaultKind::BudgetExceeded;
-                if (wdFired) {
+                if (pastDeadline) {
+                    deadlineFires.fetch_add(
+                        1, std::memory_order_relaxed);
                     err.message =
                         "wall-clock deadline exceeded "
                         "(maxWallMs=" +
@@ -406,7 +389,6 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
             metrics->add(mids->simInsts, insts);
             metrics->set(mids->cacheHits, cache.hits());
             metrics->set(mids->cacheMisses, cache.misses());
-            metrics->set(mids->poolSteals, pool.stealCount());
             metrics->set(mids->queueDepth, pool.queueDepth());
             metrics->record(mids->jobWallMs,
                             static_cast<std::uint64_t>(wall *
@@ -454,8 +436,8 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
             break;
         }
     }
-    if (mids && watchdog)
-        metrics->set(mids->watchdogFires, watchdog->fires());
+    if (mids)
+        metrics->set(mids->watchdogFires, deadlineFires.load());
 
     if (sink) {
         json::Value p = json::Value::object();
@@ -469,7 +451,6 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
               static_cast<std::uint64_t>(cache.size()));
         p.set("cacheHits", cache.hits());
         p.set("cacheMisses", cache.misses());
-        p.set("poolSteals", pool.stealCount());
         p.set("wallSeconds",
               sink->elapsedSeconds() - campaignT0);
         sink->event("campaign-end", std::move(p));

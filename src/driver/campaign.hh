@@ -2,8 +2,8 @@
  * @file
  * Simulation-campaign runner.
  *
- * A Campaign is an ordered list of Scenarios. run() shards the jobs
- * across a work-stealing ThreadPool; every worker resolves its
+ * A Campaign is an ordered list of Scenarios. run() hands the jobs
+ * to a ThreadPool through parallelFor; every worker resolves its
  * scenario's binary through a shared compile-once ExecutableCache
  * (so a campaign compiles each (benchmark, E-DVI policy) pair
  * exactly once no matter how many jobs reference it) and its
@@ -146,7 +146,7 @@ struct CampaignOptions
     obs::TelemetrySink *telemetry = nullptr;
 
     /** Operational metrics updated as jobs complete (jobs, insts,
-     * cache hit/miss, pool steals / queue depth). nullptr = off. */
+     * cache hit/miss, pool queue depth). nullptr = off. */
     obs::MetricRegistry *metrics = nullptr;
 
     /**
@@ -162,8 +162,8 @@ struct CampaignOptions
     /**
      * Cooperative cancellation: a set flag makes every not-yet-
      * started job a no-op, and every job in flight polls it next to
-     * its own deadline flag (base::CancelFlags) and stops at its
-     * next poll, so run() returns as soon as the running jobs reach
+     * its own deadline (base::CancelFlags) and stops at its next
+     * poll, so run() returns as soon as the running jobs reach
      * one. The flag may be set from any thread or a signal handler
      * (DELETE /campaigns/<id>, server shutdown, SIGINT); nothing
      * waits on it, so setting it needs no lock or notify. The

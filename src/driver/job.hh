@@ -8,8 +8,8 @@
  * deterministic seed, runs through the Runner named by the scenario,
  * and produces a JobResult keyed by that index. Aggregation orders
  * results by index, so a parallel run is bit-identical to a serial
- * one regardless of the completion order the work-stealing scheduler
- * happens to produce.
+ * one regardless of the order in which the pool's workers happen to
+ * finish.
  */
 
 #ifndef DVI_DRIVER_JOB_HH
@@ -53,7 +53,7 @@ struct JobSpec
 /**
  * Why a job failed, after retries were exhausted. `kind` drives what
  * the campaign did about it (Transient kinds were retried,
- * BudgetExceeded means the watchdog or instruction deadline fired)
+ * BudgetExceeded means the wall-clock or instruction deadline fired)
  * and is serialized as its lower-case token in reports.
  */
 struct JobError

@@ -7,32 +7,6 @@ namespace dvi
 namespace obs
 {
 
-namespace
-{
-
-/** Registry serial numbers, for the thread-local shard cache. */
-std::atomic<std::uint64_t> g_registry_serial{0};
-
-/** Per-thread cache of the last registry this thread touched and
- * its shard in it. One entry suffices: a thread inside a campaign
- * or fuzz run works against one registry at a time, and a miss just
- * takes the registry mutex once. */
-struct ShardCache
-{
-    std::uint64_t serial = 0;
-    void *shard = nullptr;
-};
-thread_local ShardCache t_shard_cache;
-
-} // namespace
-
-MetricRegistry::MetricRegistry()
-    : serial_(g_registry_serial.fetch_add(1,
-                                          std::memory_order_relaxed) +
-              1)
-{
-}
-
 MetricId
 MetricRegistry::intern(std::vector<std::string> &names,
                        const std::string &name, std::size_t cap,
@@ -72,28 +46,10 @@ MetricRegistry::histogram(const std::string &name)
     return id;
 }
 
-MetricRegistry::Shard &
-MetricRegistry::localShard()
-{
-    ShardCache &cache = t_shard_cache;
-    if (cache.serial == serial_ && cache.shard)
-        return *static_cast<Shard *>(cache.shard);
-    std::lock_guard<std::mutex> lk(mu_);
-    shards_.push_back(std::make_unique<Shard>());
-    cache.serial = serial_;
-    cache.shard = shards_.back().get();
-    return *shards_.back();
-}
-
 void
 MetricRegistry::add(MetricId counter, std::uint64_t delta)
 {
-    // Owner-only writes: load/store instead of fetch_add — the
-    // atomicity needed is word-sized visibility to snapshot(), not
-    // cross-thread read-modify-write.
-    std::atomic<std::uint64_t> &cell = localShard().cells[counter];
-    cell.store(cell.load(std::memory_order_relaxed) + delta,
-               std::memory_order_relaxed);
+    counters_[counter].fetch_add(delta, std::memory_order_relaxed);
 }
 
 void
@@ -115,13 +71,10 @@ MetricRegistry::snapshot() const
     Snapshot out;
     std::lock_guard<std::mutex> lk(mu_);
     out.counters.reserve(counterNames_.size());
-    for (std::size_t c = 0; c < counterNames_.size(); ++c) {
-        std::uint64_t total = 0;
-        for (const auto &shard : shards_)
-            total +=
-                shard->cells[c].load(std::memory_order_relaxed);
-        out.counters.emplace_back(counterNames_[c], total);
-    }
+    for (std::size_t c = 0; c < counterNames_.size(); ++c)
+        out.counters.emplace_back(
+            counterNames_[c],
+            counters_[c].load(std::memory_order_relaxed));
     out.gauges.reserve(gaugeNames_.size());
     for (std::size_t g = 0; g < gaugeNames_.size(); ++g)
         out.gauges.emplace_back(

@@ -1,6 +1,6 @@
 /**
  * @file
- * Named metrics with per-thread sharded counters.
+ * Named counters, gauges and histograms.
  *
  * A MetricRegistry holds the process-level operational metrics a
  * resident simulator needs: monotonic counters (jobs completed,
@@ -9,14 +9,12 @@
  * dvi::Histogram from stats/ — the simulation-statistics primitives
  * stay what they are; this layer only aggregates and exports).
  *
- * Counters are the hot path: campaign workers bump them once per
- * job, the fuzzer once per program. Each thread writes its own
- * shard — a cache-line-padded array of relaxed atomics indexed by
- * counter id — so concurrent increments never contend; snapshot()
- * sums the shards. The registry is therefore write-scalable and
- * read-consistent-enough for telemetry (a snapshot taken while
- * writers run is a valid set of per-counter sums, each at least as
- * fresh as the last quiescent point).
+ * Each counter is one relaxed atomic, bumped with fetch_add: the
+ * traffic is a few adds per campaign job or fuzz program and one
+ * per HTTP request, far too little to contend, and the registry's
+ * size is fixed however many threads write to it. A snapshot taken
+ * while writers run holds, for each counter, a value at least as
+ * fresh as the last quiescent point.
  *
  * Snapshots export deterministically: names in registration order,
  * exact u64 values through base/json. flush() emits the snapshot as
@@ -52,14 +50,12 @@ using MetricId = std::uint32_t;
 class MetricRegistry
 {
   public:
-    /** Shard capacity; registering more counters is fatal (the
-     * registry is for a bounded set of operational metrics, not
-     * per-entity data). */
+    /** Capacity; registering more is fatal (the registry is for a
+     * bounded set of operational metrics, not per-entity data). */
     static constexpr std::size_t maxCounters = 256;
     static constexpr std::size_t maxGauges = 64;
 
-    MetricRegistry();
-    ~MetricRegistry() = default;
+    MetricRegistry() = default;
 
     MetricRegistry(const MetricRegistry &) = delete;
     MetricRegistry &operator=(const MetricRegistry &) = delete;
@@ -73,8 +69,7 @@ class MetricRegistry
     /** Register (or find) a sample histogram. */
     MetricId histogram(const std::string &name);
 
-    /** Add to a counter from any thread; wait-free after the
-     * calling thread's shard exists. */
+    /** Add to a counter from any thread; wait-free. */
     void add(MetricId counter, std::uint64_t delta = 1);
 
     /** Set a gauge (last write wins across threads). */
@@ -86,7 +81,7 @@ class MetricRegistry
     /** Point-in-time aggregate of every registered metric. */
     struct Snapshot
     {
-        /** (name, summed-over-shards total), registration order. */
+        /** (name, value), registration order. */
         std::vector<std::pair<std::string, std::uint64_t>> counters;
         std::vector<std::pair<std::string, std::uint64_t>> gauges;
         /** (name, copy), registration order. */
@@ -108,30 +103,15 @@ class MetricRegistry
     void flush(TelemetrySink &sink) const;
 
   private:
-    /** One thread's counter cells. Only the owning thread writes;
-     * snapshot() reads with relaxed loads (each cell is a sum of
-     * deltas — monotone, so a torn view is just a slightly stale
-     * one). Padded so two threads' shards never share a line. */
-    struct alignas(64) Shard
-    {
-        std::atomic<std::uint64_t> cells[maxCounters] = {};
-    };
-
-    Shard &localShard();
-
     MetricId intern(std::vector<std::string> &names,
                     const std::string &name, std::size_t cap,
                     const char *what);
-
-    /** Registry identity for the thread-local shard cache: survives
-     * address reuse across registry lifetimes. */
-    const std::uint64_t serial_;
 
     mutable std::mutex mu_;
     std::vector<std::string> counterNames_;
     std::vector<std::string> gaugeNames_;
     std::vector<std::string> histogramNames_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::atomic<std::uint64_t> counters_[maxCounters] = {};
     std::atomic<std::uint64_t> gauges_[maxGauges] = {};
     std::vector<std::unique_ptr<Histogram>> histograms_;
     mutable std::mutex histMu_;

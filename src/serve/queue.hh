@@ -11,7 +11,7 @@
  *
  * Dispatchers pop in FIFO order and hand each session to the
  * runner callback (the server's campaign executor, which fans the
- * campaign's jobs into the shared work-stealing ThreadPool). A
+ * campaign's jobs into the shared ThreadPool's FIFO queue). A
  * session whose cancel flag was raised while still queued is flipped
  * straight to Cancelled without running. shutdown() stops admission,
  * cancels everything still pending, raises the cooperative cancel

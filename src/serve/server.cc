@@ -74,7 +74,6 @@ struct DviServer::ServerMetrics
     obs::MetricId queuePending;
     obs::MetricId queueRunning;
     obs::MetricId poolWorkers;
-    obs::MetricId poolSteals;
 
     explicit ServerMetrics(obs::MetricRegistry &reg)
         : submitted(reg.counter("serve.campaignsSubmitted")),
@@ -92,8 +91,7 @@ struct DviServer::ServerMetrics
           cacheCompiles(reg.gauge("cache.compiles")),
           queuePending(reg.gauge("queue.pending")),
           queueRunning(reg.gauge("queue.running")),
-          poolWorkers(reg.gauge("pool.workers")),
-          poolSteals(reg.gauge("pool.steals"))
+          poolWorkers(reg.gauge("pool.workers"))
     {
     }
 };
@@ -410,13 +408,12 @@ void
 DviServer::handleMetrics(HttpResponse &res)
 {
     // Gauges are sampled at serve time so the snapshot reflects the
-    // current cache/queue/pool, not the last campaign completion.
+    // current cache and queue, not the last campaign completion.
     metrics_.set(mids_->cacheHits, cache_.hits());
     metrics_.set(mids_->cacheMisses, cache_.misses());
     metrics_.set(mids_->cacheCompiles, cache_.size());
     metrics_.set(mids_->queuePending, queue_.pending());
     metrics_.set(mids_->queueRunning, queue_.running());
-    metrics_.set(mids_->poolSteals, pool_.stealCount());
     respondJson(res, 200, metrics_.snapshotJson());
 }
 

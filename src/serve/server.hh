@@ -3,9 +3,10 @@
  * dvi-serve — the resident campaign service.
  *
  * One DviServer is one long-running process serving many campaign
- * requests: a shared work-stealing ThreadPool runs every campaign's
- * jobs, a process-wide ExecutableCache means a manifest that names
- * an already-compiled (benchmark, policy) pair never compiles again
+ * requests: one shared ThreadPool runs every campaign's jobs (each
+ * campaign's parallelFor waits for its own jobs alone), a
+ * process-wide ExecutableCache means a manifest that names an
+ * already-compiled (benchmark, policy) pair never compiles again
  * — across requests, not just within one — and a CampaignQueue
  * bounds what the server will hold (HTTP 429 + Retry-After beyond
  * that). Campaign state, progress, and results are served over a
@@ -29,7 +30,8 @@
  *   GET    /healthz                  liveness + load summary
  *   GET    /metrics                  server-wide MetricRegistry
  *                                    snapshot (compile-cache hits,
- *                                    admissions, pool stats)
+ *                                    admissions, queue and
+ *                                    pool size)
  *
  * Determinism contract: the driver's report is a pure function of
  * the manifest, the shared pool/cache are invisible to report

@@ -18,9 +18,9 @@
  * scenarios away at dispatch (takeScenarios), leaving the campaign
  * name, job count and profile flag. The event log is one byte
  * buffer plus line-end offsets. The terminal transition shrinks the
- * log and the report to fit and folds the MetricRegistry (a shard
- * per pool thread that ran a job, or more) into the two counters
- * the status document reads.
+ * log and the report to fit and folds the MetricRegistry (its fixed
+ * counter and gauge arrays) into the two counters the status
+ * document reads.
  *
  * Thread model: the HTTP threads read state/lines/report while a
  * queue dispatcher runs the campaign and the driver's pool workers

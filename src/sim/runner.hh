@@ -187,15 +187,15 @@ class RunnerRegistry
 const Runner &runnerFor(const std::string &name);
 
 /**
- * Scopes a job's cancellation flags onto the calling thread (the
+ * Scopes a job's cancellation state onto the calling thread (the
  * obs::SinkScope idiom). The campaign driver installs one per job
- * attempt, carrying the job flag (set by the watchdog at the job's
- * maxWallMs deadline; null without one) and the campaign flag (set
- * by DELETE, server shutdown or a SIGINT handler; null without
- * one). The built-in runners pick them up via currentCancel() and
- * thread them into the simulation loops, which poll both and unwind
- * with base::CancelledError once either is raised. Nestable;
- * restores the outer flags on exit.
+ * attempt, carrying the attempt's deadline (start + maxWallMs; none
+ * without one) and the campaign flag (set by DELETE, server
+ * shutdown or a SIGINT handler; null without one). The built-in
+ * runners pick them up via currentCancel() and thread them into the
+ * simulation loops, which poll both and unwind with
+ * base::CancelledError once the deadline passes or the flag is
+ * raised. Nestable; restores the outer state on exit.
  */
 class CancelScope
 {
@@ -210,7 +210,7 @@ class CancelScope
     base::CancelFlags prev_;
 };
 
-/** The calling thread's scoped cancel flags; both null when none. */
+/** The calling thread's scoped cancel state; empty when none. */
 base::CancelFlags currentCancel();
 
 } // namespace sim

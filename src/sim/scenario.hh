@@ -66,10 +66,11 @@ struct RunBudget
     std::uint64_t quantum = 20000;
 
     /**
-     * Wall-clock deadline in milliseconds (0 = none). Enforced by
-     * the campaign watchdog via cooperative cancellation; a job past
-     * its deadline fails with kind budget-exceeded. Unlike maxInsts
-     * this is a fault threshold, not a stopping point.
+     * Wall-clock deadline in milliseconds (0 = none), counted from
+     * the start of each attempt. The simulation loops read the clock
+     * at their cancel polls; a job past its deadline fails with kind
+     * budget-exceeded. Unlike maxInsts this is a fault threshold,
+     * not a stopping point.
      */
     std::uint64_t maxWallMs = 0;
 

@@ -116,12 +116,12 @@ struct CoreConfig
     /** @} */
 
     /**
-     * Cooperative cancellation: when either flag is present, run()
-     * polls both every 1024 loop iterations and unwinds with
-     * base::CancelledError once one reads true (the job flag is the
-     * watchdog's at the wall-clock deadline, the campaign flag is
-     * DELETE's, shutdown's or SIGINT's). Not a config axis — never
-     * serialized, never affects stats of runs that complete.
+     * Cooperative cancellation: when a deadline or a campaign flag
+     * is present, run() polls both every 1024 loop iterations and
+     * unwinds with base::CancelledError once the deadline has
+     * passed or the flag (DELETE's, shutdown's or SIGINT's) reads
+     * true. Not a config axis — never serialized, never affects
+     * stats of runs that complete.
      */
     base::CancelFlags cancel;
 

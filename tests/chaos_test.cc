@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests for the fault-tolerance layer: failpoint spec parsing and
- * deterministic firing, the campaign retry/quarantine loop, the
- * wall-clock watchdog and instruction hard deadline, and the
- * degraded-report contract (partial results, error records, byte
- * identity of everything that did not fail, manifest round-trip).
+ * deterministic firing, the campaign retry/quarantine loop, a fault
+ * injected into the pool's task wrapper, the wall-clock deadline
+ * (polled by a stuck runner, the timing core and the emulator) and
+ * instruction hard deadline, and the degraded-report contract
+ * (partial results, error records, byte identity of everything that
+ * did not fail, manifest round-trip).
  *
  * Failpoint state is process-global, so every test arms its sites
  * through the ChaosTest fixture, whose TearDown disarms them.
@@ -233,8 +235,8 @@ TEST_F(ChaosTest, TransientCompileFaultRecompilesAndRecovers)
     copts.jobs = 1;
     copts.retry.backoffBaseMs = 1;
 
-    // The compile failpoint throws out of the cache's call_once, so
-    // the once-flag stays unset and the retry recompiles.
+    // The compile failpoint throws out of the cache's compile slot,
+    // which releases it un-compiled, so the retry recompiles.
     ASSERT_EQ(fail::configure("driver.compile=throw@once"), "");
     const driver::CampaignReport faulted = c.run(copts);
     fail::reset();
@@ -323,12 +325,52 @@ TEST_F(ChaosTest, DegradedReportRoundTripsAsManifest)
     EXPECT_EQ(m.scenarios.size(), report.results.size());
 }
 
-// ------------------------------------------- watchdog & budgets
+TEST_F(ChaosTest, PoolTaskFaultSurfacesAfterOtherJobsFinish)
+{
+    driver::Campaign c("pool-task");
+    for (const workload::BenchmarkId id :
+         {workload::BenchmarkId::Li, workload::BenchmarkId::Gcc,
+          workload::BenchmarkId::Go, workload::BenchmarkId::Perl})
+        c.add(timingScenario(id, sim::presetFull(), 3000));
 
-/** A runner that never finishes on its own: it spins until one of
- * the scoped cancel flags (the watchdog's job flag or the campaign
- * flag) is raised, then unwinds with CancelledError exactly like
- * the simulation loops. */
+    obs::TelemetrySink sink;
+    std::atomic<unsigned> jobsEnded{0};
+    sink.addObserver([&jobsEnded](const obs::Event &e) {
+        if (std::strcmp(e.kind, "job-end") == 0)
+            ++jobsEnded;
+    });
+    driver::CampaignOptions copts;
+    copts.telemetry = &sink;
+    driver::ThreadPool pool(2);
+
+    // The fault fires in parallelFor's task wrapper, before the job
+    // body, so the campaign's own retry loop never sees it: run()
+    // throws it once every other job has finished.
+    ASSERT_EQ(fail::configure("pool.task=throw@once"), "");
+    try {
+        c.run(pool, copts);
+        FAIL() << "the injected pool.task fault did not propagate";
+    } catch (const base::FaultInjected &f) {
+        EXPECT_EQ(f.site(), "pool.task");
+    }
+    EXPECT_EQ(fail::fireCount("pool.task"), 1u);
+    EXPECT_EQ(jobsEnded.load(), c.size() - 1);
+    fail::reset();
+
+    // The same pool then runs a clean campaign.
+    driver::CampaignOptions plain;
+    const driver::CampaignReport report = c.run(pool, plain);
+    EXPECT_FALSE(report.degraded);
+    plain.jobs = 1;
+    EXPECT_EQ(report.toJson(), c.run(plain).toJson());
+}
+
+// ------------------------------------------- deadlines & budgets
+
+/** A runner that never finishes on its own: it spins until the
+ * scoped cancel state is raised (the attempt's deadline passes or
+ * the campaign flag is set), then unwinds with CancelledError
+ * exactly like the simulation loops. */
 class SpinRunner : public sim::Runner
 {
   public:
@@ -336,7 +378,7 @@ class SpinRunner : public sim::Runner
     std::string
     description() const override
     {
-        return "spins until cancelled (watchdog tests)";
+        return "spins until cancelled (deadline tests)";
     }
 
     sim::RunResult
@@ -413,9 +455,8 @@ TEST_F(ChaosTest, CampaignCancelStopsInFlightJobWithoutDeadline)
 {
     registerSpinRunner();
 
-    // No maxWallMs, so no watchdog and no job flag: the spinning job
-    // can only see the campaign flag, which the observer raises as
-    // the job begins.
+    // No maxWallMs, so no deadline: the spinning job can only see the
+    // campaign flag, which the observer raises as the job begins.
     driver::Campaign c("campaign-cancel");
     sim::Scenario stuck;
     stuck.runner = "spin";
@@ -442,6 +483,52 @@ TEST_F(ChaosTest, CampaignCancelStopsInFlightJobWithoutDeadline)
     // Well inside the spin runner's own 20 s give-up.
     EXPECT_LT(std::chrono::steady_clock::now() - t0,
               std::chrono::seconds(10));
+}
+
+TEST_F(ChaosTest, WallClockDeadlineStopsSimulationLoops)
+{
+    // The timing core and the emulator poll the attempt's deadline
+    // themselves; neither job could finish its budget in the time
+    // bound below.
+    driver::Campaign c("wall-deadline");
+    sim::Scenario timing = timingScenario(workload::BenchmarkId::Gcc,
+                                          sim::presetFull(),
+                                          4000000000ull);
+    timing.budget.maxWallMs = 20;
+    c.add(timing);
+    sim::Scenario oracle;
+    oracle.runner = "oracle";
+    oracle.workload = workload::BenchmarkId::Gcc;
+    oracle.budget.maxInsts = 400000000000ull;
+    oracle.budget.maxWallMs = 20;
+    c.add(oracle);
+
+    driver::CampaignOptions copts;
+    copts.jobs = 2;
+    obs::MetricRegistry metrics;
+    copts.metrics = &metrics;
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const driver::CampaignReport report = c.run(copts);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
+
+    EXPECT_TRUE(report.degraded);
+    ASSERT_EQ(report.results.size(), 2u);
+    const char *const stoppedBy[] = {"timing core cancelled",
+                                     "emulator cancelled"};
+    for (std::size_t i = 0; i < 2; ++i) {
+        const driver::JobResult &r = report.results[i];
+        EXPECT_TRUE(r.failed) << r.spec.scenario.runner;
+        EXPECT_EQ(r.error.kind, base::FaultKind::BudgetExceeded)
+            << r.spec.scenario.runner;
+        EXPECT_NE(r.error.message.find("deadline"), std::string::npos)
+            << r.error.message;
+        EXPECT_NE(r.error.message.find(stoppedBy[i]),
+                  std::string::npos)
+            << r.error.message;
+    }
+    EXPECT_EQ(gaugeValue(metrics, "campaign.watchdogFires"), 2u);
 }
 
 TEST_F(ChaosTest, HardInstructionDeadlineQuarantinesJob)

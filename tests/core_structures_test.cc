@@ -123,19 +123,6 @@ TEST(LvmStack, UnboundedDepthNeverOverflows)
     EXPECT_EQ(stack.size(), 1000u);
 }
 
-TEST(LvmStack, CheckpointRestore)
-{
-    LvmStack stack(8);
-    stack.push(RegMask{1});
-    stack.push(RegMask{2});
-    auto cp = stack.checkpoint();
-    stack.pop();
-    stack.push(RegMask{9});
-    stack.restore(cp);
-    EXPECT_EQ(stack.size(), 2u);
-    EXPECT_EQ(stack.top(), RegMask{2});
-}
-
 TEST(LvmStack, DeepRecursionBeyondDepthIsConservativeNeverWrong)
 {
     // The paper's context-switch/deep-recursion discussion (§5.2,
@@ -166,23 +153,6 @@ TEST(LvmStack, DeepRecursionBeyondDepthIsConservativeNeverWrong)
         EXPECT_EQ(got & pushed[39 - i], pushed[39 - i]);
     }
     EXPECT_EQ(stack.underflows(), 24u);
-}
-
-TEST(LvmStack, CheckpointRestoreAcrossOverflow)
-{
-    LvmStack stack(4);
-    for (unsigned i = 0; i < 6; ++i)
-        stack.push(RegMask{static_cast<RegIndex>(i)});
-    const auto cp = stack.checkpoint();
-    EXPECT_EQ(stack.size(), 4u);
-    stack.pop();
-    stack.pop();
-    stack.push(RegMask{31});
-    stack.restore(cp);
-    EXPECT_EQ(stack.size(), 4u);
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(stack.pop(),
-                  RegMask{static_cast<RegIndex>(5 - i)});
 }
 
 TEST(LvmStack, EmulatedDeepRecursionOverflowsBoundedStack)
@@ -243,7 +213,6 @@ TEST(Renamer, InitialStateMapsArchitecturalRegisters)
     EXPECT_EQ(r.freeCount(), 40u - isa::numIntRegs);
     for (RegIndex a = 0; a < isa::numIntRegs; ++a)
         EXPECT_EQ(r.lookup(a), static_cast<PhysRegIndex>(a));
-    EXPECT_TRUE(r.unmappedArchRegs().empty());
     r.checkConservation(0);
 }
 
@@ -267,7 +236,6 @@ TEST(Renamer, KillUnmapsAndNextDefineHasNoPrev)
     PhysRegIndex prev = r.killMapping(1);
     EXPECT_EQ(prev, 1);
     EXPECT_EQ(r.lookup(1), invalidPhysReg);
-    EXPECT_TRUE(r.unmappedArchRegs().test(1));
     r.freePhysReg(prev);  // kill commits
 
     auto rd = r.renameDest(1);
@@ -313,56 +281,12 @@ TEST(Renamer, EarlyReclamationShrinksMappedState)
     r.checkConservation(0);
 }
 
-TEST(Renamer, CheckpointRestoreEqualsSavedState)
-{
-    Renamer r(48);
-    Rng rng(77);
-    // Random warm-up.
-    std::vector<PhysRegIndex> pending;
-    for (int i = 0; i < 10; ++i) {
-        auto rd =
-            r.renameDest(static_cast<RegIndex>(rng.range(1, 31)));
-        if (rd.prevPreg != invalidPhysReg)
-            pending.push_back(rd.prevPreg);
-    }
-    auto cp = r.checkpoint();
-    std::vector<PhysRegIndex> before;
-    for (RegIndex a = 0; a < isa::numIntRegs; ++a)
-        before.push_back(r.lookup(a));
-    const auto free_before = r.freeCount();
-
-    // Speculative wrong-path work...
-    for (int i = 0; i < 6 && r.hasFree(); ++i)
-        r.renameDest(static_cast<RegIndex>(rng.range(1, 31)));
-    r.killMapping(16);
-
-    // ...recovered.
-    r.restore(cp);
-    for (RegIndex a = 0; a < isa::numIntRegs; ++a)
-        EXPECT_EQ(r.lookup(a), before[a]) << int(a);
-    EXPECT_EQ(r.freeCount(), free_before);
-    r.checkConservation(pending.size());
-}
-
 TEST(RenamerDeath, DoubleFreePanics)
 {
     Renamer r(40);
     auto rd = r.renameDest(4);
     r.freePhysReg(rd.prevPreg);
     EXPECT_DEATH(r.freePhysReg(rd.prevPreg), "double free");
-}
-
-TEST(RenamerDeath, FreeWhileMappedPanicsEvenAfterRestore)
-{
-    // The free-while-mapped check runs against the O(1) isMapped
-    // flags, which restore() must rebuild from the checkpointed map
-    // — not leave cleared.
-    Renamer r(40);
-    const auto rd = r.renameDest(4);
-    const auto cp = r.checkpoint();
-    r.renameDest(5);  // speculative work
-    r.restore(cp);
-    EXPECT_DEATH(r.freePhysReg(rd.newPreg), "still mapped");
 }
 
 TEST(RenamerDeath, FreeingMappedRegisterPanics)

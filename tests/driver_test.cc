@@ -90,17 +90,14 @@ TEST(ExecutableCache, SafeUnderConcurrentGet)
     driver::ThreadPool pool(4);
     std::atomic<const comp::Executable *> seen{nullptr};
     std::atomic<int> mismatches{0};
-    for (int i = 0; i < 32; ++i) {
-        pool.submit([&] {
-            const auto exe = cache.get(workload::BenchmarkId::Gcc,
-                                       comp::EdviPolicy::CallSites);
-            const comp::Executable *expected = nullptr;
-            if (!seen.compare_exchange_strong(expected, exe.get()) &&
-                expected != exe.get())
-                ++mismatches;
-        });
-    }
-    pool.wait();
+    driver::parallelFor(pool, 32, [&](std::size_t) {
+        const auto exe = cache.get(workload::BenchmarkId::Gcc,
+                                   comp::EdviPolicy::CallSites);
+        const comp::Executable *expected = nullptr;
+        if (!seen.compare_exchange_strong(expected, exe.get()) &&
+            expected != exe.get())
+            ++mismatches;
+    });
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_EQ(cache.size(), 1u);
 }

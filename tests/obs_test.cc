@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the observability layer (src/obs/): NDJSON stream
- * well-formedness, wall-clock field isolation, metric shard
- * aggregation, phase tracing, log mirroring — and the headline
+ * well-formedness, wall-clock field isolation, metric counters under
+ * concurrent adds, phase tracing, log mirroring — and the headline
  * guarantee that attaching telemetry changes a campaign report by
  * zero bytes.
  */
@@ -327,7 +327,7 @@ TEST(Telemetry, JobFieldSerializedOnlyWhenPresent)
     std::remove(path.c_str());
 }
 
-TEST(Metrics, SnapshotEqualsPerThreadShardSums)
+TEST(Metrics, SnapshotEqualsSumOfConcurrentAdds)
 {
     obs::MetricRegistry reg;
     const obs::MetricId a = reg.counter("test.a");

@@ -1,15 +1,14 @@
 /**
  * @file
- * Unit tests for the work-stealing thread pool: completion,
- * one-worker submission order, index-ordered results, exception
- * propagation, reuse after wait, nested submission, and clean
- * shutdown.
+ * Unit tests for the FIFO thread pool, driven through parallelFor:
+ * completion, one-worker submission order, index-ordered results,
+ * an empty batch, first-exception propagation, reuse across calls,
+ * and concurrent calls that each wait only for their own tasks.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -25,9 +24,7 @@ TEST(ThreadPool, RunsEveryTask)
 {
     driver::ThreadPool pool(4);
     std::atomic<int> count{0};
-    for (int i = 0; i < 200; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
+    driver::parallelFor(pool, 200, [&count](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 200);
 }
 
@@ -35,9 +32,7 @@ TEST(ThreadPool, SingleThreadWorks)
 {
     driver::ThreadPool pool(1);
     std::atomic<int> count{0};
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
+    driver::parallelFor(pool, 50, [&count](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 50);
 }
 
@@ -74,137 +69,77 @@ TEST(ThreadPool, ParallelForOrdersResultsByIndex)
         ASSERT_EQ(out[i], i * i);
 }
 
-TEST(ThreadPool, WaitWithNoTasksReturns)
+TEST(ThreadPool, ParallelForOfZeroReturns)
 {
     driver::ThreadPool pool(2);
-    pool.wait();  // must not hang
-    SUCCEED();
+    bool ran = false;
+    driver::parallelFor(pool, 0, [&ran](std::size_t) { ran = true; });
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(pool.queueDepth(), 0u);
 }
 
-TEST(ThreadPool, ReusableAfterWait)
+TEST(ThreadPool, ReusableAcrossCalls)
 {
     driver::ThreadPool pool(3);
     std::atomic<int> count{0};
-    for (int round = 0; round < 4; ++round) {
-        for (int i = 0; i < 25; ++i)
-            pool.submit([&count] { ++count; });
-        pool.wait();
-    }
+    for (int round = 0; round < 4; ++round)
+        driver::parallelFor(pool, 25,
+                            [&count](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, PropagatesFirstException)
+TEST(ThreadPool, PropagatesFirstExceptionAfterEveryOtherTask)
 {
     driver::ThreadPool pool(4);
-    std::atomic<int> completed{0};
-    for (int i = 0; i < 64; ++i) {
-        pool.submit([&completed, i] {
-            if (i == 13)
-                throw std::runtime_error("boom");
-            ++completed;
-        });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // Every non-throwing task still ran.
-    EXPECT_EQ(completed.load(), 63);
-    // The error is consumed: the pool is usable again.
-    pool.submit([&completed] { ++completed; });
-    pool.wait();
-    EXPECT_EQ(completed.load(), 64);
-}
+    std::vector<std::atomic<int>> ran(64);
+    EXPECT_THROW(driver::parallelFor(pool, ran.size(),
+                                     [&ran](std::size_t i) {
+                                         if (i == 13)
+                                             throw std::runtime_error(
+                                                 "boom");
+                                         ++ran[i];
+                                     }),
+                 std::runtime_error);
+    // parallelFor returned only after every other index had run.
+    for (std::size_t i = 0; i < ran.size(); ++i)
+        EXPECT_EQ(ran[i].load(), i == 13 ? 0 : 1) << "index " << i;
 
-TEST(ThreadPool, WorkersCanSubmit)
-{
-    driver::ThreadPool pool(4);
+    // The error belonged to that call: the pool runs the next one.
     std::atomic<int> count{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&pool, &count] {
-            for (int j = 0; j < 4; ++j)
-                pool.submit([&count] { ++count; });
-        });
-    }
-    // Note: wait() waits for *all* submitted tasks, including the
-    // nested ones, because unfinished counts them the moment they
-    // are submitted (before their parent finishes).
-    pool.wait();
-    EXPECT_EQ(count.load(), 32);
+    driver::parallelFor(pool, 8, [&count](std::size_t) { ++count; });
+    EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPool, DestructorDrainsOutstandingWork)
+TEST(ThreadPool, ConcurrentCallsWaitOnlyForTheirOwnTasks)
 {
-    std::atomic<int> count{0};
-    {
-        driver::ThreadPool pool(2);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&count] { ++count; });
-        // No wait(): the destructor must drain and join without
-        // hanging or crashing.
-    }
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(TaskGroup, WaitsOnlyForItsOwnTasks)
-{
-    // Two groups on one pool: finishing group A must not block on
-    // group B's slow tasks — the property dvi-serve needs to run
-    // concurrent campaigns on a shared pool. wait() never runs
-    // tasks itself, so one worker stays free for `quick`.
+    // Two parallelFor calls on one pool: the quick one must return
+    // while the slow one's tasks are parked — the property dvi-serve
+    // needs to run concurrent campaigns on a shared pool. The slow
+    // batch takes all but one worker, which stays free for `quick`.
     driver::ThreadPool pool(4);
-    std::atomic<int> fast{0};
+    const std::size_t slowTasks = pool.numThreads() - 1;
+    std::atomic<std::size_t> parked{0};
     std::atomic<int> slowDone{0};
     std::atomic<bool> release{false};
-
-    driver::TaskGroup slow(pool);
-    for (unsigned i = 0; i + 1 < pool.numThreads(); ++i)
-        slow.submit([&release, &slowDone] {
+    std::thread slow([&] {
+        driver::parallelFor(pool, slowTasks, [&](std::size_t) {
+            ++parked;
             while (!release.load())
                 std::this_thread::yield();
             ++slowDone;
         });
+    });
+    while (parked.load() < slowTasks)
+        std::this_thread::yield();
 
-    driver::TaskGroup quick(pool);
-    for (int i = 0; i < 16; ++i)
-        quick.submit([&fast] { ++fast; });
-    quick.wait();  // must return while `slow` is still parked
+    std::atomic<int> fast{0};
+    driver::parallelFor(pool, 16, [&fast](std::size_t) { ++fast; });
     EXPECT_EQ(fast.load(), 16);
     EXPECT_EQ(slowDone.load(), 0);
 
     release.store(true);
-    slow.wait();
-    EXPECT_EQ(slowDone.load(), static_cast<int>(pool.numThreads()) - 1);
-}
-
-TEST(TaskGroup, PropagatesFirstExceptionAndStaysUsable)
-{
-    driver::ThreadPool pool(2);
-    driver::TaskGroup group(pool);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i)
-        group.submit([&ran, i] {
-            if (i == 3)
-                throw std::runtime_error("task boom");
-            ++ran;
-        });
-    EXPECT_THROW(group.wait(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 7);
-
-    // The error is consumed; the group accepts more work.
-    group.submit([&ran] { ++ran; });
-    group.wait();
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(TaskGroup, DestructorWaits)
-{
-    driver::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    {
-        driver::TaskGroup group(pool);
-        for (int i = 0; i < 32; ++i)
-            group.submit([&count] { ++count; });
-        // No wait(): the destructor must block until all 32 ran.
-    }
-    EXPECT_EQ(count.load(), 32);
+    slow.join();
+    EXPECT_EQ(slowDone.load(), static_cast<int>(slowTasks));
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive)
@@ -213,8 +148,7 @@ TEST(ThreadPool, HardwareThreadsIsPositive)
     driver::ThreadPool pool(0);  // 0 = hardware concurrency
     EXPECT_GE(pool.numThreads(), 1u);
     std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
+    driver::parallelFor(pool, 1, [&count](std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 1);
 }
 
