@@ -25,15 +25,6 @@ Executable::countKills() const
     return n;
 }
 
-std::uint64_t
-Executable::countSaveRestores() const
-{
-    std::uint64_t n = 0;
-    for (const auto &inst : code)
-        n += inst.isSave() || inst.isRestore();
-    return n;
-}
-
 std::string
 Executable::disassemble(int from, int to) const
 {

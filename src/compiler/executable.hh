@@ -59,9 +59,6 @@ struct Executable
     /** Number of static kill (E-DVI) instructions in the image. */
     std::uint64_t countKills() const;
 
-    /** Number of static live-store/live-load instructions. */
-    std::uint64_t countSaveRestores() const;
-
     /** Disassemble a range (debugging aid). */
     std::string disassemble(int from, int to) const;
 };

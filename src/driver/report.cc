@@ -23,32 +23,6 @@ parseReportFormat(const std::string &name)
 namespace
 {
 
-/**
- * Per-campaign runner resolution cache: a campaign references a
- * handful of distinct runner names across hundreds of jobs, so the
- * registry is consulted once per name per campaign. Each runner's
- * metric keys are built once per process (Runner::metricTable()),
- * never per job.
- */
-class RunnerCache
-{
-  public:
-    const sim::Runner &
-    of(const std::string &name)
-    {
-        for (const auto &e : entries_)
-            if (e.first == name)
-                return *e.second;
-        const sim::Runner &runner = sim::runnerFor(name);
-        entries_.emplace_back(name, &runner);
-        return runner;
-    }
-
-  private:
-    std::vector<std::pair<std::string, const sim::Runner *>>
-        entries_;
-};
-
 /** The runner's metrics as an insertion-ordered JSON object. */
 json::Value
 metricsJson(const JobResult &r, const sim::Runner &runner)
@@ -86,8 +60,6 @@ metricsCell(const JobResult &r, const sim::Runner &runner)
 Table
 CampaignReport::toTable() const
 {
-    RunnerCache runners;
-
     Table t("Campaign: " + campaign);
     std::vector<std::string> header = {
         "idx",  "runner",   "benchmark", "preset", "label",
@@ -116,12 +88,12 @@ CampaignReport::toTable() const
                            std::string(base::faultKindName(
                                r.error.kind)) +
                            "): " + r.error.message
-                     : metricsCell(r, runners.of(s.runner)),
+                     : metricsCell(r, sim::runnerFor(s.runner)),
         };
         if (profiled) {
             row.push_back(Table::fmt(r.wallSeconds, 4));
             row.push_back(Table::fmt(
-                r.instsPerSec(runners.of(s.runner)) / 1e6, 3));
+                r.instsPerSec(sim::runnerFor(s.runner)) / 1e6, 3));
         }
         t.addRow(row);
     }
@@ -137,8 +109,6 @@ CampaignReport::toCsv() const
 json::Value
 CampaignReport::toJsonValue() const
 {
-    RunnerCache runners;
-
     json::Value doc = json::Value::object();
     doc.set("campaign", campaign);
     doc.set("jobs",
@@ -155,7 +125,7 @@ CampaignReport::toJsonValue() const
         o.set("index", static_cast<std::uint64_t>(r.spec.index));
         o.set("seed", r.spec.seed);
         // Provenance: the fully resolved scenario through the same
-        // field bindings the manifest loader reads, so this report
+        // field table the manifest loader reads, so this report
         // re-runs via `dvi-run --manifest`.
         o.set("scenario", sim::scenarioToJsonDiff(s));
         if (r.failed) {
@@ -170,7 +140,7 @@ CampaignReport::toJsonValue() const
             arr.push(std::move(o));
             continue;
         }
-        const sim::Runner &runner = runners.of(s.runner);
+        const sim::Runner &runner = sim::runnerFor(s.runner);
         o.set("textBytes", r.textBytes);
         o.set("metrics", metricsJson(r, runner));
         if (profiled) {

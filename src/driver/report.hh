@@ -9,10 +9,12 @@
  * names, or thread counts, so a report is byte-identical across
  * serial and parallel runs of the same campaign.
  *
- * Every JSON result embeds its job's fully resolved scenario through
- * the field bindings (sim/manifest.hh), which makes a report a
- * runnable artifact: `dvi-run --manifest report.json` replays the
- * exact campaign that produced it.
+ * Every JSON result embeds its job's fully resolved scenario, sparse,
+ * through the manifest's field table (sim/manifest.hh), which makes
+ * a report a runnable artifact: `dvi-run --manifest report.json`
+ * replays the exact campaign that produced it. Each job's runner is
+ * resolved through sim::runnerFor, and its metric keys come from
+ * the runner's own Runner::metricTable(), built once per process.
  */
 
 #ifndef DVI_DRIVER_REPORT_HH

@@ -467,11 +467,9 @@ runOracle(const prog::Module &mod, const OracleOptions &opts)
             return fail(std::move(err));
     }
 
-    if (opts.runTierLockstep) {
-        err = tierLockstep(edvi, opts);
-        if (!err.empty())
-            return fail(std::move(err));
-    }
+    err = tierLockstep(edvi, opts);
+    if (!err.empty())
+        return fail(std::move(err));
 
     return rep;
 }

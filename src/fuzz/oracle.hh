@@ -26,9 +26,9 @@
  *     (saves/restores eliminated exactly match the functional LVM
  *     oracle), and a final architectural state identical to the
  *     lockstep emulator's;
- *  5. tier lockstep: the tier-0 interpreter against the tier-1
- *     basic-block translation cache over the same E-DVI binary —
- *     record-for-record pc / opcode / effective-address /
+ *  5. tier lockstep (always runs): the tier-0 interpreter against
+ *     the tier-1 basic-block translation cache over the same E-DVI
+ *     binary — record-for-record pc / opcode / effective-address /
  *     branch-outcome / next-pc diff (kills included: same binary,
  *     so the streams must match one for one), dead-read counts at
  *     every batch boundary, then full EmulatorStats equality
@@ -77,7 +77,6 @@ struct OracleOptions
     bool staticCheck = true;   ///< layer 0
     bool runDense = true;      ///< lockstep the Dense binary too
     bool runCore = true;       ///< layer 4
-    bool runTierLockstep = true;  ///< layer 5
     FaultSpec fault;
 };
 

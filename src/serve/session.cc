@@ -152,20 +152,6 @@ CampaignSession::error() const
 }
 
 bool
-CampaignSession::degraded() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return degraded_;
-}
-
-std::size_t
-CampaignSession::lineCount() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return lineEnds_.size();
-}
-
-bool
 CampaignSession::nextLines(std::size_t &cursor, std::string &out,
                            unsigned timeoutMs) const
 {

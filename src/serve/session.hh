@@ -121,12 +121,6 @@ class CampaignSession
     std::string report() const;
     /** Failure diagnostic; "" unless Failed. */
     std::string error() const;
-    /** Done with quarantined jobs (see finishDone). */
-    bool degraded() const;
-
-    /** NDJSON lines buffered so far. */
-    std::size_t lineCount() const;
-
     /**
      * Event-stream cursor: append the bytes of lines [*cursor, ...)
      * to `out` as one range, advancing *cursor. When no new line is

@@ -1,6 +1,13 @@
 #include "sim/manifest.hh"
 
-#include "base/logging.hh"
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+
 #include "sim/runner.hh"
 
 namespace dvi
@@ -8,10 +15,19 @@ namespace dvi
 namespace sim
 {
 
-const fields::EnumTokens<comp::EdviPolicy> &
-edviPolicyTokenMap()
+namespace
 {
-    static const fields::EnumTokens<comp::EdviPolicy> tokens = {
+
+// ------------------------------------------------------ enum tokens
+
+/** Ordered (token, value) spellings of an enum field. */
+template <typename E>
+using Tokens = std::vector<std::pair<std::string, E>>;
+
+const Tokens<comp::EdviPolicy> &
+tokensOf(comp::EdviPolicy)
+{
+    static const Tokens<comp::EdviPolicy> tokens = {
         {"none", comp::EdviPolicy::None},
         {"callsites", comp::EdviPolicy::CallSites},
         {"dense", comp::EdviPolicy::Dense},
@@ -19,204 +35,365 @@ edviPolicyTokenMap()
     return tokens;
 }
 
-const fields::EnumTokens<arch::ExecTier> &
-execTierTokenMap()
+const Tokens<arch::ExecTier> &
+tokensOf(arch::ExecTier)
 {
-    static const fields::EnumTokens<arch::ExecTier> tokens = {
+    static const Tokens<arch::ExecTier> tokens = {
         {"interp", arch::ExecTier::Interp},
         {"xlate", arch::ExecTier::Xlate},
     };
     return tokens;
 }
 
-const fields::EnumTokens<workload::BenchmarkId> &
-benchmarkTokenMap()
+/** Paper reporting order. */
+const Tokens<workload::BenchmarkId> &
+tokensOf(workload::BenchmarkId)
 {
-    static const fields::EnumTokens<workload::BenchmarkId> tokens =
-        [] {
-            fields::EnumTokens<workload::BenchmarkId> t;
-            for (workload::BenchmarkId id :
-                 workload::allBenchmarks())
-                t.emplace_back(workload::benchmarkName(id), id);
-            return t;
-        }();
+    static const Tokens<workload::BenchmarkId> tokens = [] {
+        Tokens<workload::BenchmarkId> t;
+        for (workload::BenchmarkId id : workload::allBenchmarks())
+            t.emplace_back(workload::benchmarkName(id), id);
+        return t;
+    }();
     return tokens;
 }
 
-void
-describeFields(fields::FieldSet &fs, const std::string &prefix,
-               BinaryConfig &c)
+// ----------------------------------------- encode / decode by type
+//
+// Each decode returns "" on success or a reason without the path
+// (the caller prefixes it).
+
+template <typename T>
+using IfUnsigned =
+    std::enable_if_t<std::is_unsigned<T>::value &&
+                         !std::is_same<T, bool>::value,
+                     int>;
+
+template <typename T, IfUnsigned<T> = 0>
+json::Value
+encode(T v)
 {
-    fs.bindEnum(prefix + "edvi", c.edvi, edviPolicyTokenMap());
+    return json::Value(static_cast<std::uint64_t>(v));
 }
 
-void
-describeFields(fields::FieldSet &fs, const std::string &prefix,
-               uarch::DviConfig &c)
+/** A u64 JSON value narrowed with a round-trip check. */
+template <typename T, IfUnsigned<T> = 0>
+std::string
+decode(const json::Value &v, T &out)
 {
-    fs.bindBool(prefix + "useIdvi", c.useIdvi);
-    fs.bindBool(prefix + "useEdvi", c.useEdvi);
-    fs.bindBool(prefix + "earlyReclaim", c.earlyReclaim);
-    fs.bindBool(prefix + "elimSaves", c.elimSaves);
-    fs.bindBool(prefix + "elimRestores", c.elimRestores);
-    fs.bindUnsigned(prefix + "lvmStackDepth", c.lvmStackDepth);
+    if (!v.isU64())
+        return std::string("expected an unsigned integer, got ") +
+               v.typeName();
+    const T narrowed = static_cast<T>(v.u64());
+    if (static_cast<std::uint64_t>(narrowed) != v.u64())
+        return "value " + std::to_string(v.u64()) +
+               " is out of range (max " +
+               std::to_string(std::numeric_limits<T>::max()) + ")";
+    out = narrowed;
+    return "";
 }
 
-void
-describeFields(fields::FieldSet &fs, const std::string &prefix,
-               mem::CacheParams &c)
+json::Value
+encode(bool v)
 {
-    // `name` is identity, not configuration; it stays fixed.
-    fs.bindSize(prefix + "sizeBytes", c.sizeBytes);
-    fs.bindUnsigned(prefix + "assoc", c.assoc);
-    fs.bindUnsigned(prefix + "lineBytes", c.lineBytes);
-    fs.bindUnsigned(prefix + "hitLatency", c.hitLatency);
+    return json::Value(v);
 }
 
-void
-describeFields(fields::FieldSet &fs, const std::string &prefix,
-               predictor::PredictorParams &p)
+std::string
+decode(const json::Value &v, bool &out)
 {
-    fs.bindUnsigned(prefix + "historyBits", p.historyBits);
-    fs.bindSize(prefix + "gshareEntries", p.gshareEntries);
-    fs.bindSize(prefix + "bimodEntries", p.bimodEntries);
-    fs.bindSize(prefix + "chooserEntries", p.chooserEntries);
-    fs.bindSize(prefix + "btbEntries", p.btbEntries);
-    fs.bindUnsigned(prefix + "rasEntries", p.rasEntries);
+    if (!v.isBool())
+        return std::string("expected true or false, got ") +
+               v.typeName();
+    out = v.boolean();
+    return "";
 }
 
-void
-describeFields(fields::FieldSet &fs, const std::string &prefix,
-               uarch::CoreConfig &c)
+json::Value
+encode(const std::string &v)
 {
-    fs.bindUnsigned(prefix + "fetchWidth", c.fetchWidth);
-    fs.bindUnsigned(prefix + "decodeWidth", c.decodeWidth);
-    fs.bindUnsigned(prefix + "issueWidth", c.issueWidth);
-    fs.bindUnsigned(prefix + "commitWidth", c.commitWidth);
-    fs.bindUnsigned(prefix + "windowSize", c.windowSize);
-    fs.bindUnsigned(prefix + "fetchQueueSize", c.fetchQueueSize);
-    fs.bindUnsigned(prefix + "numPhysRegs", c.numPhysRegs);
-    fs.bindUnsigned(prefix + "cachePorts", c.cachePorts);
-    fs.bindUnsigned(prefix + "intAlus", c.intAlus);
-    fs.bindUnsigned(prefix + "intMulDivs", c.intMulDivs);
-    fs.bindUnsigned(prefix + "fpAlus", c.fpAlus);
-    fs.bindUnsigned(prefix + "fpMulDivs", c.fpMulDivs);
-    fs.bindUnsigned(prefix + "memLatency", c.memLatency);
-    fs.bindU64(prefix + "maxCycles", c.maxCycles);
-    describeFields(fs, prefix + "il1.", c.il1);
-    describeFields(fs, prefix + "dl1.", c.dl1);
-    describeFields(fs, prefix + "l2.", c.l2);
-    describeFields(fs, prefix + "bp.", c.bp);
-    // Deliberately unbound: `dvi` (hardware.dvi is authoritative;
-    // the runner copies it over before simulating) and `maxInsts`
-    // (owned by budget.maxInsts).
+    return json::Value(v);
 }
 
-void
-describeFields(fields::FieldSet &fs, const std::string &prefix,
-               HardwareConfig &c)
+std::string
+decode(const json::Value &v, std::string &out)
 {
-    describeFields(fs, prefix + "dvi.", c.dvi);
-    describeFields(fs, prefix + "core.", c.core);
+    if (!v.isString())
+        return std::string("expected a string, got ") + v.typeName();
+    out = v.str();
+    return "";
 }
 
-void
-describeFields(fields::FieldSet &fs, const std::string &prefix,
-               arch::EmulatorOptions &o)
+template <typename E,
+          std::enable_if_t<std::is_enum<E>::value, int> = 0>
+json::Value
+encode(E v)
 {
-    fs.bindBool(prefix + "trackLiveness", o.trackLiveness);
-    fs.bindBool(prefix + "honorEdvi", o.honorEdvi);
-    fs.bindBool(prefix + "honorIdvi", o.honorIdvi);
-    fs.bindUnsigned(prefix + "lvmStackDepth", o.lvmStackDepth);
-    fs.bindBool(prefix + "strictDeadReads", o.strictDeadReads);
-    // Throughput-only knob (tiers are proven bit-identical); bound
-    // so `--set emu.tier=interp` A/Bs the translation cache.
-    fs.bindEnum(prefix + "tier", o.tier, execTierTokenMap());
+    for (const auto &t : tokensOf(v))
+        if (t.second == v)
+            return json::Value(t.first);
+    return json::Value("<unnamed>");
 }
 
-void
-describeFields(fields::FieldSet &fs, const std::string &prefix,
-               RunBudget &b)
+template <typename E,
+          std::enable_if_t<std::is_enum<E>::value, int> = 0>
+std::string
+decode(const json::Value &v, E &out)
 {
-    fs.bindU64(prefix + "maxInsts", b.maxInsts);
-    fs.bindU64(prefix + "quantum", b.quantum);
-    fs.bindU64(prefix + "maxWallMs", b.maxWallMs);
-    fs.bindU64(prefix + "hardMaxInsts", b.hardMaxInsts);
-}
-
-void
-describeFields(fields::FieldSet &fs, Scenario &s)
-{
-    // `runner` validates against the live registry, so a manifest
-    // naming a custom runner loads once that runner is registered.
-    fields::FieldSet::Field runner;
-    runner.path = "runner";
-    runner.kind = "enum";
-    runner.get = [&s]() { return json::Value(s.runner); };
-    runner.set = [&s](const json::Value &v) -> std::string {
-        if (!v.isString())
-            return std::string("expected a string token, got ") +
-                   v.typeName();
-        if (!RunnerRegistry::instance().find(v.str())) {
-            std::string known;
-            for (const std::string &n :
-                 RunnerRegistry::instance().names())
-                known += known.empty() ? n : ", " + n;
-            return "unknown runner '" + v.str() +
-                   "' (registered: " + known + ")";
-        }
-        s.runner = v.str();
-        return "";
-    };
-    fs.add(std::move(runner));
-
-    fs.bindEnum("workload", s.workload, benchmarkTokenMap());
-
-    // `preset` expands into the binary and hardware DVI axes; it is
-    // registered (and emitted) before them so later explicit fields
-    // win, exactly as applyPreset-then-override does in C++.
-    fields::FieldSet::Field preset;
-    preset.path = "preset";
-    preset.kind = "enum";
-    preset.tokens = presetTokens();
-    preset.get = [&s]() { return json::Value(s.preset); };
-    preset.set = [&s](const json::Value &v) -> std::string {
-        if (!v.isString())
-            return std::string("expected a string token, got ") +
-                   v.typeName();
-        if (v.str().empty()) {
-            s.preset.clear();
+    if (!v.isString())
+        return std::string("expected a string token, got ") +
+               v.typeName();
+    std::string valid;
+    for (const auto &t : tokensOf(out)) {
+        if (t.first == v.str()) {
+            out = t.second;
             return "";
         }
-        const std::optional<DviPreset> p = parsePreset(v.str());
-        if (!p)
-            return "unknown preset '" + v.str() + "' (valid: " +
-                   presetTokens() + ")";
-        applyPreset(s, *p);
-        return "";
-    };
-    fs.add(std::move(preset));
-
-    fs.bindString("label", s.label);
-    describeFields(fs, "binary.", s.binary);
-    describeFields(fs, "hardware.", s.hardware);
-    describeFields(fs, "emu.", s.emu);
-    describeFields(fs, "budget.", s.budget);
+        valid += valid.empty() ? t.first : ", " + t.first;
+    }
+    return "unknown token '" + v.str() + "' (valid: " + valid + ")";
 }
 
-fields::FieldSet
-scenarioFields(Scenario &s)
+// ------------------------------------------------------ field table
+
+/** How `--set` text parses; JSON values carry their own type. */
+enum class Kind
 {
-    fields::FieldSet fs;
-    describeFields(fs, s);
-    return fs;
+    U64,
+    Bool,
+    Text,
+};
+
+template <typename T>
+constexpr Kind
+kindOf()
+{
+    return std::is_same<T, bool>::value   ? Kind::Bool
+           : std::is_unsigned<T>::value ? Kind::U64
+                                        : Kind::Text;
 }
+
+/** One scalar field of a Scenario. */
+struct Field
+{
+    const char *path;
+    Kind kind;
+    json::Value (*get)(const Scenario &);
+    /** "" on success, else a reason without the path. */
+    std::string (*set)(Scenario &, const json::Value &);
+};
+
+/** The field at member path `member` of a Scenario: its dotted path
+ * is the member expression itself. */
+#define DVI_FIELD(member)                                            \
+    Field                                                            \
+    {                                                                \
+        #member,                                                     \
+            kindOf<decltype(std::declval<Scenario &>().member)>(),   \
+            [](const Scenario &s) { return encode(s.member); },      \
+            [](Scenario &s, const json::Value &v) {                  \
+                return decode(v, s.member);                          \
+            }                                                        \
+    }
+
+/** `runner` validates against the live registry, so a manifest
+ * naming a custom runner loads once that runner is registered. */
+std::string
+setRunner(Scenario &s, const json::Value &v)
+{
+    if (!v.isString())
+        return std::string("expected a string token, got ") +
+               v.typeName();
+    if (!RunnerRegistry::instance().find(v.str())) {
+        std::string known;
+        for (const std::string &n : RunnerRegistry::instance().names())
+            known += known.empty() ? n : ", " + n;
+        return "unknown runner '" + v.str() + "' (registered: " +
+               known + ")";
+    }
+    s.runner = v.str();
+    return "";
+}
+
+/** `preset` expands into the binary and hardware DVI axes, like
+ * applyPreset. */
+std::string
+setPreset(Scenario &s, const json::Value &v)
+{
+    if (!v.isString())
+        return std::string("expected a string token, got ") +
+               v.typeName();
+    if (v.str().empty()) {
+        s.preset.clear();
+        return "";
+    }
+    const std::optional<DviPreset> p = parsePreset(v.str());
+    if (!p)
+        return "unknown preset '" + v.str() + "' (valid: " +
+               presetTokens() + ")";
+    applyPreset(s, *p);
+    return "";
+}
+
+/**
+ * Every field, in emission order. `preset` precedes the binary and
+ * hardware fields so later explicit fields win, exactly as
+ * applyPreset-then-override does in C++. Deliberately absent:
+ * cache `name`s (identity, not configuration), `hardware.core.dvi`
+ * (hardware.dvi is authoritative; the runner copies it over before
+ * simulating) and `hardware.core.maxInsts` (owned by
+ * budget.maxInsts).
+ */
+const Field fieldTable[] = {
+    {"runner", Kind::Text,
+     [](const Scenario &s) { return encode(s.runner); }, setRunner},
+    DVI_FIELD(workload),
+    {"preset", Kind::Text,
+     [](const Scenario &s) { return encode(s.preset); }, setPreset},
+    DVI_FIELD(label),
+    DVI_FIELD(binary.edvi),
+    DVI_FIELD(hardware.dvi.useIdvi),
+    DVI_FIELD(hardware.dvi.useEdvi),
+    DVI_FIELD(hardware.dvi.earlyReclaim),
+    DVI_FIELD(hardware.dvi.elimSaves),
+    DVI_FIELD(hardware.dvi.elimRestores),
+    DVI_FIELD(hardware.dvi.lvmStackDepth),
+    DVI_FIELD(hardware.core.fetchWidth),
+    DVI_FIELD(hardware.core.decodeWidth),
+    DVI_FIELD(hardware.core.issueWidth),
+    DVI_FIELD(hardware.core.commitWidth),
+    DVI_FIELD(hardware.core.windowSize),
+    DVI_FIELD(hardware.core.fetchQueueSize),
+    DVI_FIELD(hardware.core.numPhysRegs),
+    DVI_FIELD(hardware.core.cachePorts),
+    DVI_FIELD(hardware.core.intAlus),
+    DVI_FIELD(hardware.core.intMulDivs),
+    DVI_FIELD(hardware.core.fpAlus),
+    DVI_FIELD(hardware.core.fpMulDivs),
+    DVI_FIELD(hardware.core.memLatency),
+    DVI_FIELD(hardware.core.maxCycles),
+    DVI_FIELD(hardware.core.il1.sizeBytes),
+    DVI_FIELD(hardware.core.il1.assoc),
+    DVI_FIELD(hardware.core.il1.lineBytes),
+    DVI_FIELD(hardware.core.il1.hitLatency),
+    DVI_FIELD(hardware.core.dl1.sizeBytes),
+    DVI_FIELD(hardware.core.dl1.assoc),
+    DVI_FIELD(hardware.core.dl1.lineBytes),
+    DVI_FIELD(hardware.core.dl1.hitLatency),
+    DVI_FIELD(hardware.core.l2.sizeBytes),
+    DVI_FIELD(hardware.core.l2.assoc),
+    DVI_FIELD(hardware.core.l2.lineBytes),
+    DVI_FIELD(hardware.core.l2.hitLatency),
+    DVI_FIELD(hardware.core.bp.historyBits),
+    DVI_FIELD(hardware.core.bp.gshareEntries),
+    DVI_FIELD(hardware.core.bp.bimodEntries),
+    DVI_FIELD(hardware.core.bp.chooserEntries),
+    DVI_FIELD(hardware.core.bp.btbEntries),
+    DVI_FIELD(hardware.core.bp.rasEntries),
+    DVI_FIELD(emu.trackLiveness),
+    DVI_FIELD(emu.honorEdvi),
+    DVI_FIELD(emu.honorIdvi),
+    DVI_FIELD(emu.lvmStackDepth),
+    DVI_FIELD(emu.strictDeadReads),
+    // Throughput-only knob (tiers are proven bit-identical), so
+    // `--set emu.tier=interp` A/Bs the translation cache.
+    DVI_FIELD(emu.tier),
+    DVI_FIELD(budget.maxInsts),
+    DVI_FIELD(budget.quantum),
+    DVI_FIELD(budget.maxWallMs),
+    DVI_FIELD(budget.hardMaxInsts),
+};
+
+#undef DVI_FIELD
+
+const Field *
+findField(const std::string &path)
+{
+    for (const Field &f : fieldTable)
+        if (path == f.path)
+            return &f;
+    return nullptr;
+}
+
+/** Some field lives below `path` (it is an interior object key).
+ * Compared by length, so a key with an embedded NUL matches
+ * nothing. */
+bool
+isInterior(const std::string &path)
+{
+    for (const Field &f : fieldTable) {
+        const std::string_view p = f.path;
+        if (p.size() > path.size() && p[path.size()] == '.' &&
+            p.substr(0, path.size()) == path)
+            return true;
+    }
+    return false;
+}
+
+/** Descend into (creating) the objects named by the path's parent
+ * segments and set the leaf member. */
+void
+setNested(json::Value &root, const char *path, json::Value leaf)
+{
+    json::Value *node = &root;
+    const char *seg = path;
+    for (const char *dot; (dot = std::strchr(seg, '.')); seg = dot + 1) {
+        const std::string key(seg, dot);
+        if (!node->find(key))
+            node->set(key, json::Value::object());
+        // find() returns const; the address is stable until the
+        // next set() on this node, which is fine for one
+        // descend-then-write pass.
+        node = const_cast<json::Value *>(node->find(key));
+    }
+    node->set(seg, std::move(leaf));
+}
+
+std::string
+applyObject(const json::Value &obj, const std::string &prefix,
+            Scenario &s)
+{
+    for (const auto &kv : obj.members()) {
+        const std::string path =
+            prefix.empty() ? kv.first : prefix + "." + kv.first;
+        if (const Field *f = findField(path)) {
+            const std::string err = f->set(s, kv.second);
+            if (!err.empty())
+                return path + ": " + err;
+            continue;
+        }
+        // Not a leaf: recurse when some field lives below it,
+        // otherwise the key is unknown at this level.
+        if (!isInterior(path))
+            return path + ": unknown field";
+        if (!kv.second.isObject())
+            return path + ": expected an object, got " +
+                   std::string(kv.second.typeName());
+        const std::string err = applyObject(kv.second, path, s);
+        if (!err.empty())
+            return err;
+    }
+    return "";
+}
+
+/** The soft error for a source that would expand to `jobs` jobs. */
+std::string
+overCap(const std::string &where, std::uint64_t jobs)
+{
+    return where + ": " + std::to_string(jobs) +
+           " jobs exceed the manifest limit of " +
+           std::to_string(maxManifestJobs);
+}
+
+} // namespace
 
 json::Value
 scenarioToJson(const Scenario &s)
 {
-    Scenario copy = s;
-    return scenarioFields(copy).toJson();
+    json::Value out = json::Value::object();
+    for (const Field &f : fieldTable)
+        setNested(out, f.path, f.get(s));
+    return out;
 }
 
 json::Value
@@ -234,19 +411,67 @@ scenarioToJsonDiff(const Scenario &s)
         // Clearing the stamp keeps `preset` itself in the diff.
         base.preset.clear();
     }
-    Scenario copy = s;
-    fields::FieldSet fs = scenarioFields(copy);
-    fields::FieldSet defaults = scenarioFields(base);
-    // Identity fields always appear, so every emitted job answers
-    // "what runs on what" without consulting the defaults.
-    return fs.toJsonDiff(defaults, {"runner", "workload"});
+    json::Value out = json::Value::object();
+    for (const Field &f : fieldTable) {
+        // Identity fields always appear, so every emitted job
+        // answers "what runs on what" without consulting the
+        // defaults.
+        const bool forced = !std::strcmp(f.path, "runner") ||
+                            !std::strcmp(f.path, "workload");
+        json::Value v = f.get(s);
+        if (forced || v != f.get(base))
+            setNested(out, f.path, std::move(v));
+    }
+    return out;
 }
 
 std::string
 scenarioFromJson(const json::Value &obj, Scenario &s)
 {
-    fields::FieldSet fs = scenarioFields(s);
-    return fs.applyJson(obj);
+    if (!obj.isObject())
+        return std::string("expected an object, got ") +
+               obj.typeName();
+    return applyObject(obj, "", s);
+}
+
+std::string
+setScenarioField(Scenario &s, const std::string &path,
+                 const std::string &text)
+{
+    const Field *f = findField(path);
+    if (!f)
+        return path + ": unknown field";
+
+    json::Value v;
+    switch (f->kind) {
+      case Kind::U64: {
+        errno = 0;
+        char *end = nullptr;
+        const unsigned long long parsed =
+            std::strtoull(text.c_str(), &end, 10);
+        if (text.empty() || text[0] == '-' || errno != 0 || !end ||
+            *end != '\0')
+            return path + ": expected an unsigned integer, got '" +
+                   text + "'";
+        v = json::Value(static_cast<std::uint64_t>(parsed));
+        break;
+      }
+      case Kind::Bool:
+        if (text == "true" || text == "1")
+            v = json::Value(true);
+        else if (text == "false" || text == "0")
+            v = json::Value(false);
+        else
+            return path + ": expected true or false, got '" + text +
+                   "'";
+        break;
+      case Kind::Text:
+        v = json::Value(text);
+        break;
+    }
+
+    const std::string err = f->set(s, v);
+    return err.empty() ? "" : path + ": " + err;
 }
 
 std::string
@@ -313,40 +538,28 @@ expandAxes(const json::Value &axes, const Scenario &def,
                 kv.first != "label")
                 return where + "." + kv.first + ": unknown field";
 
-        // Resolve the axis path once: registration order is
-        // deterministic, so the field's index is the same in every
-        // per-scenario FieldSet built below.
-        std::size_t field_index = 0;
-        {
-            Scenario probe = def;
-            fields::FieldSet pfs = scenarioFields(probe);
-            const fields::FieldSet::Field *pf =
-                pfs.find(path->str());
-            if (!pf)
-                return where + ".path: unknown field '" +
-                       path->str() + "'";
-            field_index = static_cast<std::size_t>(
-                pf - pfs.fields().data());
-        }
+        const Field *field = findField(path->str());
+        if (!field)
+            return where + ".path: unknown field '" + path->str() +
+                   "'";
+        const std::vector<json::Value> &points = values->items();
+        if (points.size() > maxManifestJobs / out.size())
+            return overCap(where, std::uint64_t(out.size()) *
+                                      points.size());
 
         // First-declared axis outermost: each pass expands every
         // scenario built so far across this axis's values.
         std::vector<Scenario> next;
-        next.reserve(out.size() * values->items().size());
+        next.reserve(out.size() * points.size());
         for (const Scenario &base : out) {
-            for (std::size_t i = 0; i < values->items().size();
-                 ++i) {
+            for (std::size_t i = 0; i < points.size(); ++i) {
                 Scenario s = base;
-                fields::FieldSet fs = scenarioFields(s);
-                const std::string err =
-                    fs.fields()[field_index].set(
-                        values->items()[i]);
+                const std::string err = field->set(s, points[i]);
                 if (!err.empty())
                     return where + ".values[" + std::to_string(i) +
                            "] (" + path->str() + "): " + err;
                 if (labeled) {
-                    const std::string tok =
-                        labelToken(values->items()[i]);
+                    const std::string tok = labelToken(points[i]);
                     s.label += s.label.empty() ? tok : "-" + tok;
                 }
                 next.push_back(std::move(s));
@@ -365,12 +578,7 @@ manifestFromJson(const std::string &text, CampaignManifest &out)
     const json::ParseResult parsed = json::parse(text);
     if (!parsed.ok())
         return parsed.error;
-    return manifestFromJsonValue(parsed.value, out);
-}
-
-std::string
-manifestFromJsonValue(const json::Value &doc, CampaignManifest &out)
-{
+    const json::Value &doc = parsed.value;
     if (!doc.isObject())
         return std::string(
                    "manifest: expected a top-level object, got ") +
@@ -435,6 +643,8 @@ manifestFromJsonValue(const json::Value &doc, CampaignManifest &out)
         if (!jobs->isArray())
             return std::string("jobs: expected an array, got ") +
                    jobs->typeName();
+        if (jobs->items().size() > maxManifestJobs)
+            return overCap("jobs", jobs->items().size());
         for (std::size_t i = 0; i < jobs->items().size(); ++i) {
             Scenario s = def;
             const std::string err =
@@ -461,6 +671,8 @@ manifestFromJsonValue(const json::Value &doc, CampaignManifest &out)
             return std::string(
                        "results: expected an array, got ") +
                    results->typeName();
+        if (results->items().size() > maxManifestJobs)
+            return overCap("results", results->items().size());
         for (std::size_t i = 0; i < results->items().size(); ++i) {
             const std::string where =
                 "results[" + std::to_string(i) + "]";

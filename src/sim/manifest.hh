@@ -2,19 +2,20 @@
  * @file
  * Declarative scenario manifests.
  *
- * This is the layer that makes every Scenario *data*: per-struct
- * describeFields() bindings (base/fields.hh) give each config struct
- * a single declarative list of named, typed, dotted-path fields, and
- * on top of that Scenarios and whole campaigns round-trip to/from
- * JSON. The same bindings serve four surfaces, so they cannot drift:
+ * This is the layer that makes every Scenario *data*. One table,
+ * file-local to manifest.cc, lists the Scenario's scalar fields; each
+ * field's dotted path is its own member path ("hardware.core.
+ * windowSize" is s.hardware.core.windowSize), with a JSON getter and
+ * a validating setter. The same table serves four surfaces, so they
+ * cannot drift:
  *
  *  - `dvi-run --emit-manifest NAME` writes any registered campaign
  *    as an editable JSON manifest;
  *  - `dvi-run --manifest FILE` runs a user-authored manifest without
  *    recompiling anything (the SimpleScalar external-config
  *    separation, done as a first-class API);
- *  - `dvi-run --set path=value` overrides any bound field on any
- *    scenario source;
+ *  - `dvi-run --set path=value` overrides any field on any scenario
+ *    source (setScenarioField);
  *  - campaign reports embed each job's fully resolved scenario, so a
  *    report is itself a loadable, re-runnable manifest.
  *
@@ -28,16 +29,17 @@
  *
  * All loading is soft-error: malformed documents return a diagnostic
  * naming the offending dotted path (never an abort), so CLIs can
- * attach the file name and unit tests can assert on messages.
+ * attach the file name and unit tests can assert on messages. A
+ * manifest expands to at most maxManifestJobs jobs.
  */
 
 #ifndef DVI_SIM_MANIFEST_HH
 #define DVI_SIM_MANIFEST_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "base/fields.hh"
 #include "base/json.hh"
 #include "sim/scenario.hh"
 
@@ -46,51 +48,9 @@ namespace dvi
 namespace sim
 {
 
-// ------------------------------------------------ per-struct fields
-//
-// Each overload registers the struct's scalar fields under `prefix`
-// (e.g. "hardware.core."). Composite structs recurse into their
-// members, so describeFields(fs, "", scenario) yields the complete
-// dotted-path list for a run.
-
-void describeFields(fields::FieldSet &fs, const std::string &prefix,
-                    BinaryConfig &c);
-void describeFields(fields::FieldSet &fs, const std::string &prefix,
-                    uarch::DviConfig &c);
-void describeFields(fields::FieldSet &fs, const std::string &prefix,
-                    mem::CacheParams &c);
-void describeFields(fields::FieldSet &fs, const std::string &prefix,
-                    predictor::PredictorParams &p);
-void describeFields(fields::FieldSet &fs, const std::string &prefix,
-                    uarch::CoreConfig &c);
-void describeFields(fields::FieldSet &fs, const std::string &prefix,
-                    HardwareConfig &c);
-void describeFields(fields::FieldSet &fs, const std::string &prefix,
-                    arch::EmulatorOptions &o);
-void describeFields(fields::FieldSet &fs, const std::string &prefix,
-                    RunBudget &b);
-/** The whole run: runner, workload, preset, label, and every nested
- * struct. The `preset` binding's setter expands the named preset
- * (applyPreset) so manifests may say just {"preset": "full"}. */
-void describeFields(fields::FieldSet &fs, Scenario &s);
-
-/** Complete field set over a live scenario (which must outlive it). */
-fields::FieldSet scenarioFields(Scenario &s);
-
-// -------------------------------------------------- enum name maps
-
-/** Token map for comp::EdviPolicy ("none" / "callsites" / "dense"). */
-const fields::EnumTokens<comp::EdviPolicy> &edviPolicyTokenMap();
-
-/** "interp" / "xlate" (arch::ExecTier). */
-const fields::EnumTokens<arch::ExecTier> &execTierTokenMap();
-
-/** Token map for workload::BenchmarkId (paper reporting order). */
-const fields::EnumTokens<workload::BenchmarkId> &benchmarkTokenMap();
-
 // -------------------------------------------- scenario <-> JSON
 
-/** Every bound field, fully expanded. */
+/** Every field, fully expanded, nested by dotted path. */
 json::Value scenarioToJson(const Scenario &s);
 
 /** Sparse form: `preset` plus the fields that differ from a default
@@ -102,7 +62,20 @@ json::Value scenarioToJsonDiff(const Scenario &s);
  * or a "path: reason" diagnostic. */
 std::string scenarioFromJson(const json::Value &obj, Scenario &s);
 
+/**
+ * Apply one `--set path=value` override: `text` is parsed as the
+ * field's type (an unsigned integer, true/false/1/0, or a token).
+ * `preset` expands like applyPreset. Returns "" or a "path: reason"
+ * diagnostic.
+ */
+std::string setScenarioField(Scenario &s, const std::string &path,
+                             const std::string &text);
+
 // -------------------------------------------- campaign manifests
+
+/** Most jobs one manifest may expand to; larger documents fail
+ * softly before anything is copied. */
+constexpr std::size_t maxManifestJobs = 100000;
 
 /** A named, fully expanded list of scenarios — the manifest payload
  * (driver::Campaign adopts it verbatim). */
@@ -134,18 +107,12 @@ std::string manifestToJson(const CampaignManifest &m);
  *    loaded), so any report re-runs as a manifest.
  *
  * Exactly one source may be present; with none, the manifest is the
- * single defaults scenario. Returns "" on success or a diagnostic
+ * single defaults scenario. A source that would expand past
+ * maxManifestJobs is rejected. Returns "" on success or a diagnostic
  * naming the offending dotted path / entry index.
  */
 std::string manifestFromJson(const std::string &text,
                              CampaignManifest &out);
-
-/** manifestFromJson over an already-parsed document — the entry
- * point for callers that hold JSON values rather than text (an HTTP
- * body already inspected, a manifest embedded in a larger
- * document). Same contract: "" or a dotted-path diagnostic. */
-std::string manifestFromJsonValue(const json::Value &doc,
-                                  CampaignManifest &out);
 
 } // namespace sim
 } // namespace dvi

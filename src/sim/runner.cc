@@ -253,27 +253,6 @@ Runner::metricValues(const RunResult &r,
         out.push_back(m.read(r));
 }
 
-/** Immutable sorted (name, runner) snapshot; find() binary-searches
- * it without locking. */
-struct RunnerRegistry::Snapshot
-{
-    std::vector<std::pair<std::string, std::shared_ptr<const Runner>>>
-        entries;
-
-    const Runner *
-    find(const std::string &name) const
-    {
-        const auto it = std::lower_bound(
-            entries.begin(), entries.end(), name,
-            [](const auto &e, const std::string &n) {
-                return e.first < n;
-            });
-        return it != entries.end() && it->first == name
-                   ? it->second.get()
-                   : nullptr;
-    }
-};
-
 RunnerRegistry &
 RunnerRegistry::instance()
 {
@@ -294,46 +273,30 @@ RunnerRegistry::instance()
 void
 RunnerRegistry::add(std::unique_ptr<Runner> runner)
 {
-    const std::string key = runner->name();
-    std::lock_guard<std::mutex> lk(writeMu_);
-    const std::shared_ptr<const Snapshot> old =
-        std::atomic_load(&snap_);
-    auto next = std::make_shared<Snapshot>();
-    if (old)
-        next->entries = old->entries;
-    const auto it = std::lower_bound(
-        next->entries.begin(), next->entries.end(), key,
-        [](const auto &e, const std::string &n) {
-            return e.first < n;
-        });
-    fatal_if(it != next->entries.end() && it->first == key,
-             "runner '", key, "' is already registered");
-    next->entries.emplace(
-        it, key, std::shared_ptr<const Runner>(std::move(runner)));
-    std::atomic_store(&snap_,
-                      std::shared_ptr<const Snapshot>(next));
+    std::string key = runner->name();
+    std::lock_guard<std::mutex> lk(mu_);
+    fatal_if(runners_.count(key), "runner '", key,
+             "' is already registered");
+    runners_.emplace(std::move(key), std::move(runner));
 }
 
 const Runner *
 RunnerRegistry::find(const std::string &name) const
 {
-    const std::shared_ptr<const Snapshot> snap =
-        std::atomic_load(&snap_);
-    return snap ? snap->find(name) : nullptr;
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = runners_.find(name);
+    return it == runners_.end() ? nullptr : it->second.get();
 }
 
 std::vector<std::string>
 RunnerRegistry::names() const
 {
-    const std::shared_ptr<const Snapshot> snap =
-        std::atomic_load(&snap_);
+    std::lock_guard<std::mutex> lk(mu_);
     std::vector<std::string> out;
-    if (!snap)
-        return out;
-    out.reserve(snap->entries.size());
-    for (const auto &e : snap->entries)
-        out.push_back(e.first);
-    return out;  // entries are sorted by construction
+    out.reserve(runners_.size());
+    for (const auto &kv : runners_)
+        out.push_back(kv.first);
+    return out;  // std::map iteration is already sorted
 }
 
 CancelScope::CancelScope(base::CancelFlags flags) : prev_(t_cancel)

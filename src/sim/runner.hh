@@ -5,11 +5,12 @@
  * A Runner is an execution strategy for a Scenario: the timing model,
  * the functional LVM oracle, the preemptive context-switch
  * scheduler — or anything a client registers. The campaign driver
- * resolves runners by name through the RunnerRegistry and treats
- * them uniformly, so adding a new kind of run means writing one
- * subclass and registering it; no driver code changes. (This is the
- * SimpleScalar separation of functional and timing simulators that
- * arch/emulator.hh cites, made an extension point.)
+ * and the report resolve runners by name through the RunnerRegistry
+ * (one mutex-guarded map) and treat them uniformly, so adding a new
+ * kind of run means writing one subclass and registering it; no
+ * driver code changes. (This is the SimpleScalar separation of
+ * functional and timing simulators that arch/emulator.hh cites,
+ * made an extension point.)
  *
  * Runners must be deterministic and thread-safe: run() is called
  * concurrently from campaign worker threads with distinct scenarios
@@ -19,6 +20,7 @@
 #ifndef DVI_SIM_RUNNER_HH
 #define DVI_SIM_RUNNER_HH
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -153,11 +155,9 @@ class Runner
  * Name-to-runner resolution. The built-in runners are registered
  * exactly once (std::call_once) on first use; clients may add their
  * own at any time before the campaign that references them runs.
- *
- * Lookups are lock-free: the registry keeps an immutable, sorted
- * snapshot behind an atomically-swapped shared_ptr, so the per-job
- * find() on the campaign hot path takes no mutex — only the rare
- * add() serializes, copy-on-write.
+ * One mutex guards the map: a campaign looks a runner up a few times
+ * per job, and jobs take milliseconds. Registered runners are never
+ * removed, so the pointers find() returns stay valid.
  */
 class RunnerRegistry
 {
@@ -167,20 +167,17 @@ class RunnerRegistry
     /** Register a runner under runner->name(); fatal on duplicate. */
     void add(std::unique_ptr<Runner> runner);
 
-    /** Look up by name; nullptr if unknown. Lock-free. */
+    /** Look up by name; nullptr if unknown. */
     const Runner *find(const std::string &name) const;
 
-    /** All registered names, sorted. Lock-free. */
+    /** All registered names, sorted. */
     std::vector<std::string> names() const;
 
   private:
     RunnerRegistry() = default;
 
-    /** Immutable sorted (name, runner) snapshot. */
-    struct Snapshot;
-
-    std::shared_ptr<const Snapshot> snap_;
-    std::mutex writeMu_;
+    mutable std::mutex mu_;
+    std::map<std::string, std::unique_ptr<const Runner>> runners_;
 };
 
 /** Resolve a runner by name; fatal with the known names if absent. */

@@ -93,12 +93,6 @@ allPresets()
     return presets;
 }
 
-std::string
-presetName(const DviPreset &preset)
-{
-    return preset.name;
-}
-
 std::optional<DviPreset>
 parsePreset(const std::string &name)
 {

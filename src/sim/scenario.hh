@@ -147,9 +147,6 @@ const std::vector<DviPreset> &paperPresets();
 /** Every named preset (the paper's three plus dense). */
 const std::vector<DviPreset> &allPresets();
 
-/** Canonical token of a preset. */
-std::string presetName(const DviPreset &preset);
-
 /** Parse a preset token, case-insensitively; nullopt if unknown. */
 std::optional<DviPreset> parsePreset(const std::string &name);
 

@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests for the manifest layer: field bindings over scenarios,
- * sparse JSON round trips, the emit -> load -> run byte-identity
- * contract for every registered scenario, declarative axes grids,
- * report-as-manifest provenance, and the diagnostics malformed
- * manifests must produce (the offending dotted path, softly).
+ * Tests for the manifest layer: the scenario field table and
+ * `--set` overrides, sparse JSON round trips, the emit -> load ->
+ * run byte-identity contract for every registered scenario,
+ * declarative axes grids, report-as-manifest provenance, and the
+ * diagnostics malformed manifests must produce (the offending
+ * dotted path, softly), including the job-count cap.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "base/fields.hh"
 #include "driver/campaign.hh"
 #include "driver/scenario_registry.hh"
 #include "sim/manifest.hh"
@@ -24,48 +27,166 @@ namespace
 TEST(ScenarioFields, DottedPathOverridesSetTypedFields)
 {
     sim::Scenario s;
-    fields::FieldSet fs = sim::scenarioFields(s);
+    const auto set = [&s](const std::string &path,
+                          const std::string &text) {
+        return sim::setScenarioField(s, path, text);
+    };
 
-    EXPECT_EQ(fs.applyString("hardware.core.windowSize", "128"), "");
+    EXPECT_EQ(set("hardware.core.windowSize", "128"), "");
     EXPECT_EQ(s.hardware.core.windowSize, 128u);
-    EXPECT_EQ(fs.applyString("binary.edvi", "dense"), "");
+    EXPECT_EQ(set("binary.edvi", "dense"), "");
     EXPECT_EQ(s.binary.edvi, comp::EdviPolicy::Dense);
-    EXPECT_EQ(fs.applyString("budget.maxInsts", "123456789"), "");
+    EXPECT_EQ(set("budget.maxInsts", "123456789"), "");
     EXPECT_EQ(s.budget.maxInsts, 123456789u);
-    EXPECT_EQ(fs.applyString("hardware.dvi.earlyReclaim", "false"),
-              "");
+    EXPECT_EQ(set("hardware.dvi.earlyReclaim", "false"), "");
     EXPECT_FALSE(s.hardware.dvi.earlyReclaim);
-    EXPECT_EQ(fs.applyString("workload", "gcc"), "");
+    EXPECT_EQ(set("workload", "gcc"), "");
     EXPECT_EQ(s.workload, workload::BenchmarkId::Gcc);
-    EXPECT_EQ(fs.applyString("label", "my-row"), "");
+    EXPECT_EQ(set("label", "my-row"), "");
     EXPECT_EQ(s.label, "my-row");
 
     // `preset` expands both axes, exactly like applyPreset.
-    EXPECT_EQ(fs.applyString("preset", "dense"), "");
+    EXPECT_EQ(set("preset", "dense"), "");
     EXPECT_EQ(s.preset, "dense");
     EXPECT_EQ(s.binary.edvi, comp::EdviPolicy::Dense);
     EXPECT_TRUE(s.hardware.dvi.useEdvi);
 
     // Errors are soft and name the path.
-    const std::string unknown =
-        fs.applyString("hardware.core.windoSize", "1");
+    const std::string unknown = set("hardware.core.windoSize", "1");
     EXPECT_NE(unknown.find("hardware.core.windoSize"),
               std::string::npos);
     EXPECT_NE(unknown.find("unknown"), std::string::npos);
-    EXPECT_NE(fs.applyString("hardware.core.windowSize", "soon")
+    EXPECT_NE(set("hardware.core.windowSize", "soon")
                   .find("unsigned integer"),
               std::string::npos);
-    EXPECT_NE(fs.applyString("binary.edvi", "sparse")
-                  .find("callsites"),
+    EXPECT_NE(set("binary.edvi", "sparse").find("callsites"),
               std::string::npos);
-    EXPECT_NE(fs.applyString("runner", "warp-drive")
-                  .find("warp-drive"),
+    EXPECT_NE(set("runner", "warp-drive").find("warp-drive"),
               std::string::npos);
     // Out-of-range for a 32-bit unsigned field.
-    EXPECT_NE(fs.applyString("hardware.core.windowSize",
-                             "4294967296")
+    EXPECT_NE(set("hardware.core.windowSize", "4294967296")
                   .find("out of range"),
               std::string::npos);
+}
+
+/** (dotted path, compact value) of every leaf, in document order. */
+std::vector<std::pair<std::string, std::string>>
+leaves(const json::Value &obj, const std::string &prefix = "")
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto &kv : obj.members()) {
+        const std::string path =
+            prefix.empty() ? kv.first : prefix + "." + kv.first;
+        if (kv.second.isObject()) {
+            for (auto &leaf : leaves(kv.second, path))
+                out.push_back(std::move(leaf));
+        } else {
+            out.emplace_back(path, kv.second.dump(0));
+        }
+    }
+    return out;
+}
+
+TEST(ScenarioFields, FieldTableIsTheManifestContract)
+{
+    // Every report and manifest embeds these paths, in this order.
+    // Emit -> load -> run tests cannot see a dropped, renamed or
+    // reordered path (both sides would change together); this list
+    // can.
+    const std::vector<std::string> expected = {
+        "runner",
+        "workload",
+        "preset",
+        "label",
+        "binary.edvi",
+        "hardware.dvi.useIdvi",
+        "hardware.dvi.useEdvi",
+        "hardware.dvi.earlyReclaim",
+        "hardware.dvi.elimSaves",
+        "hardware.dvi.elimRestores",
+        "hardware.dvi.lvmStackDepth",
+        "hardware.core.fetchWidth",
+        "hardware.core.decodeWidth",
+        "hardware.core.issueWidth",
+        "hardware.core.commitWidth",
+        "hardware.core.windowSize",
+        "hardware.core.fetchQueueSize",
+        "hardware.core.numPhysRegs",
+        "hardware.core.cachePorts",
+        "hardware.core.intAlus",
+        "hardware.core.intMulDivs",
+        "hardware.core.fpAlus",
+        "hardware.core.fpMulDivs",
+        "hardware.core.memLatency",
+        "hardware.core.maxCycles",
+        "hardware.core.il1.sizeBytes",
+        "hardware.core.il1.assoc",
+        "hardware.core.il1.lineBytes",
+        "hardware.core.il1.hitLatency",
+        "hardware.core.dl1.sizeBytes",
+        "hardware.core.dl1.assoc",
+        "hardware.core.dl1.lineBytes",
+        "hardware.core.dl1.hitLatency",
+        "hardware.core.l2.sizeBytes",
+        "hardware.core.l2.assoc",
+        "hardware.core.l2.lineBytes",
+        "hardware.core.l2.hitLatency",
+        "hardware.core.bp.historyBits",
+        "hardware.core.bp.gshareEntries",
+        "hardware.core.bp.bimodEntries",
+        "hardware.core.bp.chooserEntries",
+        "hardware.core.bp.btbEntries",
+        "hardware.core.bp.rasEntries",
+        "emu.trackLiveness",
+        "emu.honorEdvi",
+        "emu.honorIdvi",
+        "emu.lvmStackDepth",
+        "emu.strictDeadReads",
+        "emu.tier",
+        "budget.maxInsts",
+        "budget.quantum",
+        "budget.maxWallMs",
+        "budget.hardMaxInsts",
+    };
+    const auto defaults = leaves(sim::scenarioToJson(sim::Scenario{}));
+    std::vector<std::string> paths;
+    for (const auto &leaf : defaults)
+        paths.push_back(leaf.first);
+    EXPECT_EQ(paths, expected);
+
+    // Each path writes its own member and nothing else. `preset`
+    // is the exception: it expands into the DVI axes by design.
+    const std::map<std::string, std::string> tokens = {
+        {"runner", "oracle"},      {"workload", "gcc"},
+        {"label", "x"},            {"binary.edvi", "dense"},
+        {"emu.tier", "interp"},
+    };
+    for (const auto &leaf : defaults) {
+        const std::string &path = leaf.first;
+        if (path == "preset")
+            continue;
+        std::string text;
+        if (leaf.second == "true" || leaf.second == "false")
+            text = leaf.second == "true" ? "false" : "true";
+        else if (leaf.second[0] != '"')
+            text = std::to_string(std::stoull(leaf.second) + 1);
+        else if (tokens.count(path))
+            text = tokens.at(path);
+        ASSERT_FALSE(text.empty()) << "no test value for " << path;
+
+        sim::Scenario s;
+        ASSERT_EQ(sim::setScenarioField(s, path, text), "") << path;
+        const auto changed = leaves(sim::scenarioToJson(s));
+        ASSERT_EQ(changed.size(), defaults.size()) << path;
+        for (std::size_t i = 0; i < defaults.size(); ++i) {
+            if (defaults[i].first == path)
+                EXPECT_NE(changed[i].second, defaults[i].second)
+                    << path;
+            else
+                EXPECT_EQ(changed[i], defaults[i])
+                    << "setting " << path;
+        }
+    }
 }
 
 TEST(ScenarioJson, SparseDiffRoundTripsDeviationsFromPreset)
@@ -258,9 +379,69 @@ TEST(Manifest, MalformedDocumentsNameTheDottedPath)
         m);
     EXPECT_NE(err.find("defaults"), std::string::npos) << err;
 
+    // A key with an embedded NUL is unknown, whatever it prefixes.
+    err = sim::manifestFromJson(
+        R"({"jobs": [{"runner\u0000zz": {}}]})", m);
+    EXPECT_EQ(err, std::string("jobs[0].runner") + '\0' +
+                       "zz: unknown field")
+        << err;
+
     // Unparsable JSON stays a soft, positioned error.
     err = sim::manifestFromJson("{\"jobs\": [", m);
     EXPECT_NE(err.find("line "), std::string::npos) << err;
+}
+
+/** An "axes" manifest of `axes` axes, each of `points` values. */
+std::string
+gridText(unsigned axes, unsigned points)
+{
+    const char *paths[] = {"hardware.core.windowSize",
+                           "hardware.core.numPhysRegs",
+                           "budget.maxInsts", "budget.quantum"};
+    std::string text = "{\"axes\": [";
+    for (unsigned a = 0; a < axes; ++a) {
+        text += a ? ", " : "";
+        text += "{\"path\": \"" + std::string(paths[a]) +
+                "\", \"values\": [";
+        for (unsigned v = 1; v <= points; ++v)
+            text += (v > 1 ? ", " : "") + std::to_string(v);
+        text += "]}";
+    }
+    return text + "]}";
+}
+
+/** {"<source>": [{}, {}, ...]} with `n` entries. */
+std::string
+emptyEntries(const std::string &source, std::size_t n)
+{
+    std::string text = "{\"" + source + "\": [";
+    for (std::size_t i = 0; i < n; ++i)
+        text += i ? ", {}" : "{}";
+    return text + "]}";
+}
+
+TEST(Manifest, JobCountIsCapped)
+{
+    sim::CampaignManifest m;
+
+    // 100 x 100 x 100 fails at the third axis, before expanding it.
+    std::string err = sim::manifestFromJson(gridText(3, 100), m);
+    EXPECT_EQ(err, "axes[2]: 1000000 jobs exceed the manifest limit "
+                   "of 100000");
+
+    err = sim::manifestFromJson(
+        emptyEntries("jobs", sim::maxManifestJobs + 1), m);
+    EXPECT_EQ(err, "jobs: 100001 jobs exceed the manifest limit of "
+                   "100000");
+    err = sim::manifestFromJson(
+        emptyEntries("results", sim::maxManifestJobs + 1), m);
+    EXPECT_EQ(err, "results: 100001 jobs exceed the manifest limit "
+                   "of 100000");
+
+    // Under the cap, grids still expand in full.
+    ASSERT_EQ(sim::manifestFromJson(gridText(4, 10), m), "");
+    EXPECT_EQ(m.scenarios.size(), 10000u);
+    EXPECT_EQ(m.scenarios.back().budget.quantum, 10u);
 }
 
 TEST(Manifest, DefaultsAloneMakeASingleJob)

@@ -30,12 +30,12 @@ TEST(Preset, RoundTripsThroughParse)
     for (const sim::DviPreset &p : sim::allPresets()) {
         const auto parsed = sim::parsePreset(p.name);
         ASSERT_TRUE(parsed.has_value()) << p.name;
-        EXPECT_EQ(sim::presetName(*parsed), p.name);
+        EXPECT_EQ(parsed->name, p.name);
     }
     // Case-insensitive.
     const auto upper = sim::parsePreset("FULL");
     ASSERT_TRUE(upper.has_value());
-    EXPECT_EQ(sim::presetName(*upper), "full");
+    EXPECT_EQ(upper->name, "full");
     // Unknown names are a soft error.
     EXPECT_FALSE(sim::parsePreset("bogus").has_value());
     EXPECT_FALSE(sim::parsePreset("").has_value());

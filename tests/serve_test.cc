@@ -276,6 +276,35 @@ TEST(Serve, MalformedManifestIs400WithDiagnostic)
     server.shutdown();
 }
 
+TEST(Serve, OverCapManifestIs400AndServerStaysHealthy)
+{
+    serve::ServeOptions opts;
+    opts.port = 0;
+    serve::DviServer server(opts);
+    server.start();
+
+    // About 1 KB of axes that would expand to a million jobs.
+    std::string values;
+    for (unsigned v = 1; v <= 100; ++v)
+        values += (v > 1 ? ", " : "") + std::to_string(v);
+    const std::string body =
+        "{\"axes\": [{\"path\": \"hardware.core.windowSize\", "
+        "\"values\": [" + values + "]}, "
+        "{\"path\": \"hardware.core.numPhysRegs\", \"values\": [" +
+        values + "]}, {\"path\": \"budget.maxInsts\", \"values\": [" +
+        values + "]}]}";
+    const ClientResponse res =
+        httpRequest(server.port(), "POST", "/campaigns", body);
+    EXPECT_EQ(res.status, 400);
+    EXPECT_NE(res.body.find("axes[2]: 1000000 jobs exceed the "
+                            "manifest limit of 100000"),
+              std::string::npos)
+        << res.body;
+    EXPECT_EQ(httpRequest(server.port(), "GET", "/healthz").status,
+              200);
+    server.shutdown();
+}
+
 TEST(Serve, ConcurrentCampaignReportsAreByteIdenticalToDirectRuns)
 {
     serve::ServeOptions opts;

@@ -153,9 +153,9 @@ void
 applyOverrides(sim::Scenario &s,
                const std::vector<Override> &overrides)
 {
-    fields::FieldSet fs = sim::scenarioFields(s);
     for (const Override &o : overrides) {
-        const std::string err = fs.applyString(o.path, o.value);
+        const std::string err =
+            sim::setScenarioField(s, o.path, o.value);
         fatal_if(!err.empty(), "--set ", o.path, "=", o.value, ": ",
                  err);
     }
