@@ -14,6 +14,13 @@
  * to re-derive (instruction-budget gates, pc-outside-image panics),
  * this file simply falls back to the tier-0 step() loop, which *is*
  * the specification.
+ *
+ * With liveness on, the LVM's bits stay in a local for the whole
+ * block, and the dead-read probes are hoisted to one test at block
+ * entry against the block's ProbeSummary (arch/xlate.hh). Only when
+ * that test says some probe could fail does the block run the
+ * interpreter's probes, micro-op by micro-op and in its order, so
+ * the dead-read count and first-dead-read diagnostics stay exact.
  */
 
 #include <algorithm>
@@ -96,15 +103,16 @@ Emulator::applyBlockStats(const BlockStats &s)
         goto x_##name;
 #endif
 
-// Register write specialized on the Live template parameter (the
-// member setIntReg re-tests opts.trackLiveness on every call).
+// Register write specialized on the Live template parameter: the
+// definition sets the destination's bit in the block's LVM local
+// (the member setIntReg re-tests opts.trackLiveness on every call).
 #define DVI_XLATE_SET_REG(r, v)                                     \
     do {                                                            \
         const RegIndex dst_ = (r);                                  \
         if (dst_ != isa::regZero) {                                 \
             intRegs[dst_] = (v);                                    \
             if (Live)                                               \
-                lvm_.define(dst_);                                  \
+                lvm |= std::uint64_t{1} << dst_;                    \
         }                                                           \
     } while (0)
 
@@ -124,6 +132,21 @@ Emulator::execBlock(const XBlock &b, TraceRecord *out)
     std::uint32_t u_next = 0;
     Addr eff_addr = 0;
     bool taken = false;
+
+    // With liveness on, the LVM's bits live here for the whole
+    // block. lvm_ is written back wherever code outside this loop
+    // reads it: block exit, the fault exit, each slow-path probe and
+    // Ret's LVM-Stack merge.
+    std::uint64_t lvm = live ? lvm_.mask().raw() : 0;
+    // One test per block. A probe can fail only if it reads a
+    // register that is dead at entry and untouched by the block
+    // before it, or follows an in-block kill or LVM restore
+    // (ProbeSummary); otherwise every probe passes and none runs.
+    bool probe = false;
+    if (live) {
+        const ProbeSummary &ps = b.probes[opts.honorEdvi];
+        probe = (ps.entryProbes.raw() & ~lvm) != 0 || ps.innerProbe;
+    }
 
 #if DVI_XLATE_COMPUTED_GOTO
     // Indexed by Opcode; order must match isa::Opcode exactly.
@@ -148,7 +171,8 @@ x_top:
         eff_addr = 0;
         taken = false;
     }
-    if (live && u->nChk) {
+    if (live && probe && u->nChk) {
+        lvm_.restore(RegMask(lvm));
         checkLiveAt(u->chk0, u->pc);
         if (u->nChk > 1)
             checkLiveAt(u->chk1, u->pc);
@@ -285,7 +309,7 @@ x_LiveLoad:
 x_LiveStore:
     // Save-elimination oracle; the data register itself is exempt
     // from the dead-read probe (it is not in the chk list).
-    if (live && !lvm_.isLive(u->rs2))
+    if (live && !((lvm >> u->rs2) & 1))
         ++stats_.saveElimOracle;
     eff_addr = xlateAddr(*u);
     if (!faulted_)
@@ -339,9 +363,9 @@ x_Call:
     ++callDepth;
     stats_.maxCallDepth = std::max(stats_.maxCallDepth, callDepth);
     if (live) {
-        stack.push(lvm_.snapshot());
+        stack.push(RegMask(lvm));
         if (opts.honorIdvi) {
-            lvm_.kill(isa::idviCallMask());
+            lvm &= ~isa::idviCallMask().raw();
             fpLive_ = fpLive_.minus(isa::fpCallerSavedMask());
         }
     }
@@ -355,33 +379,38 @@ x_Ret:
         --callDepth;
     u_next = static_cast<std::uint32_t>(intRegs[isa::regRa]);
     if (live) {
-        const RegMask snapshot = stack.pop();
-        lvm_.mergeFrom(snapshot, isa::calleeSavedMask());
+        lvm_.restore(RegMask(lvm));
+        lvm_.mergeFrom(stack.pop(), isa::calleeSavedMask());
         if (opts.honorIdvi) {
             lvm_.kill(isa::idviReturnMask());
             fpLive_ = fpLive_.minus(isa::fpCallerSavedMask());
         }
+        lvm = lvm_.mask().raw();
     }
     goto x_epilogue;
 
 x_Kill:
     // The pre-baked E-DVI kill mask, straight off the micro-op.
     if (live && opts.honorEdvi)
-        lvm_.kill(RegMask(static_cast<std::uint32_t>(u->imm)));
+        lvm &= ~std::uint64_t{static_cast<std::uint32_t>(u->imm)};
     goto x_epilogue;
 
 x_LvmSave:
     eff_addr = xlateAddr(*u);
     if (!faulted_)
-        mem.write(eff_addr,
-                  static_cast<std::int64_t>(lvm_.mask().raw()));
+        mem.write(eff_addr, static_cast<std::int64_t>(
+                                live ? lvm : lvm_.mask().raw()));
     goto x_mem_epilogue;
 x_LvmLoad:
     eff_addr = xlateAddr(*u);
     // Mirrors the interpreter: a faulted refill restores an all-dead
     // mask before the run halts at this instruction.
-    lvm_.restore(RegMask(static_cast<std::uint64_t>(
-        faulted_ ? 0 : mem.read(eff_addr))));
+    if (live)
+        lvm = static_cast<std::uint64_t>(
+            faulted_ ? 0 : mem.read(eff_addr));
+    else
+        lvm_.restore(RegMask(static_cast<std::uint64_t>(
+            faulted_ ? 0 : mem.read(eff_addr))));
     goto x_mem_epilogue;
 
     // Only memory micro-ops can latch faulted_ (via xlateAddr), so
@@ -394,6 +423,8 @@ x_mem_epilogue:
         // interpreter, where stats are bumped before execution).
         halted_ = true;
         u_next = u->pc;
+        if (live)
+            lvm_.restore(RegMask(lvm));
         applyBlockStats(blockPrefixStats(b, i + 1));
         if constexpr (Trace) {
             TraceRecord &tr = out[i];
@@ -419,6 +450,8 @@ x_epilogue:
     if (++i < len)
         goto x_top;
 
+    if (live)
+        lvm_.restore(RegMask(lvm));
     applyBlockStats(b.stat);
     pc_ = u_next;
     return len;

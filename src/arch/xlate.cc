@@ -105,6 +105,55 @@ accumulate(BlockStats &s, Opcode op)
     }
 }
 
+/** Builds one ProbeSummary, one micro-op at a time in block order. */
+class ProbeWalk
+{
+  public:
+    explicit ProbeWalk(bool honor_edvi) : honorEdvi(honor_edvi) {}
+
+    /** Fold in one instruction: its probes read the liveness left by
+     * the micro-ops before it, then its own write, kill or LVM
+     * restore takes effect (`addi r5, r5, 1` probes r5 first). */
+    void
+    add(const Instruction &inst, const RegIndex *chk, unsigned n_chk)
+    {
+        for (unsigned k = 0; k < n_chk; ++k) {
+            const std::uint64_t bit = std::uint64_t{1} << chk[k];
+            if (restored || (killed & bit))
+                sum.innerProbe = true;
+            else if (!(written & bit))
+                sum.entryProbes |= RegMask(bit);
+        }
+        if (inst.op == Opcode::LvmLoad) {
+            restored = true;
+        } else if (inst.isKill()) {
+            if (honorEdvi) {
+                const std::uint64_t mask = inst.killMask().raw();
+                killed |= mask;
+                written &= ~mask;
+            }
+        } else if (inst.writesIntReg() &&
+                   inst.destIntReg() != isa::regZero) {
+            const std::uint64_t bit = std::uint64_t{1}
+                                      << inst.destIntReg();
+            written |= bit;
+            killed &= ~bit;
+        }
+    }
+
+    const ProbeSummary &summary() const { return sum; }
+
+  private:
+    const bool honorEdvi;
+    ProbeSummary sum;
+    /** Defined by an earlier micro-op and not killed since: live. */
+    std::uint64_t written = 0;
+    /** Killed by an earlier micro-op and not redefined since. */
+    std::uint64_t killed = 0;
+    /** An earlier micro-op was an LvmLoad: no bit is known. */
+    bool restored = false;
+};
+
 } // namespace
 
 XBlock
@@ -115,6 +164,7 @@ translateBlock(const std::vector<Instruction> &code, std::uint32_t pc)
     XBlock b;
     b.entryPc = pc;
     b.uops.reserve(8);
+    ProbeWalk walk[2] = {ProbeWalk(false), ProbeWalk(true)};
     for (std::uint32_t i = pc;
          i < code.size() && b.len < maxBlockLen; ++i) {
         const Instruction &inst = code[i];
@@ -133,9 +183,13 @@ translateBlock(const std::vector<Instruction> &code, std::uint32_t pc)
         b.uops.push_back(u);
         ++b.len;
         accumulate(b.stat, inst.op);
+        for (ProbeWalk &w : walk)
+            w.add(inst, chk, u.nChk);
         if (isa::endsBlock(inst))
             break;
     }
+    b.probes[0] = walk[0].summary();
+    b.probes[1] = walk[1].summary();
     return b;
 }
 

@@ -10,6 +10,13 @@
  * delta, and the emulator then executes from the cache with a
  * threaded-dispatch inner loop (emulator_xlate.cc).
  *
+ * Each block also carries a ProbeSummary per E-DVI setting: which
+ * registers its dead-read probes read at their block-entry liveness,
+ * and whether a probe follows an in-block kill or LVM restore. With
+ * it the liveness-on executor tests the LVM once at block entry and
+ * runs the per-micro-op probes only when that test says one could
+ * fail.
+ *
  * A TranslatedProgram is the per-executable block index: a lazy,
  * thread-safe pc -> XBlock table over a private copy of the code,
  * plus the timing core's per-pc decode table. The process-wide
@@ -27,6 +34,7 @@
 #include <mutex>
 #include <vector>
 
+#include "base/reg_mask.hh"
 #include "base/types.hh"
 #include "compiler/executable.hh"
 #include "isa/decode.hh"
@@ -96,6 +104,27 @@ struct BlockStats
     std::uint32_t returns = 0;
 };
 
+/**
+ * What a block's dead-read probes ask of the LVM, for one
+ * EmulatorOptions::honorEdvi setting. Call, Ret and Halt end blocks,
+ * so inside a block only the block's own register writes, E-DVI
+ * kills and LvmLoads change the LVM. A probe of a register none of
+ * them touched first therefore reads the register's block-entry
+ * liveness, and one test of the entry LVM covers all such probes.
+ */
+struct ProbeSummary
+{
+    /** Registers some probe reads while their liveness is still the
+     * block-entry liveness: no earlier micro-op of the block wrote,
+     * killed or LVM-restored them. */
+    RegMask entryProbes;
+    /** True when the entry LVM cannot give some probe's result: the
+     * probe reads a register an earlier micro-op killed and did not
+     * redefine (kills count only when honored), or it follows an
+     * LvmLoad. */
+    bool innerProbe = false;
+};
+
 /** One translated basic block: [entryPc, entryPc + len) decoded. */
 struct XBlock
 {
@@ -103,6 +132,8 @@ struct XBlock
     std::uint32_t len = 0;
     BlockStats stat;
     std::vector<MicroOp> uops;
+    /** Indexed by EmulatorOptions::honorEdvi. */
+    ProbeSummary probes[2];
 };
 
 /** Translation stops after this many micro-ops even without a
@@ -113,9 +144,10 @@ constexpr std::uint32_t maxBlockLen = 64;
 /**
  * Decode one block starting at `pc`: micro-ops through the first
  * control transfer or halt (inclusive), capped at maxBlockLen or the
- * end of the code image. Blocks may overlap — a branch into the
- * middle of an already-translated block simply starts a new block
- * there; code is immutable so both decodings agree.
+ * end of the code image, with its BlockStats and both ProbeSummary
+ * entries. Blocks may overlap — a branch into the middle of an
+ * already-translated block simply starts a new block there; code is
+ * immutable so both decodings agree.
  */
 XBlock translateBlock(const std::vector<isa::Instruction> &code,
                       std::uint32_t pc);

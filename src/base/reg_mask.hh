@@ -74,22 +74,38 @@ class RegMask
         return bits & (1ull << r);
     }
 
-    bool empty() const { return bits == 0; }
+    constexpr bool empty() const { return bits == 0; }
     unsigned count() const { return popcount64(bits); }
-    std::uint64_t raw() const { return bits; }
+    constexpr std::uint64_t raw() const { return bits; }
     void reset() { bits = 0; }
 
-    RegMask operator|(RegMask o) const { return RegMask(bits | o.bits); }
-    RegMask operator&(RegMask o) const { return RegMask(bits & o.bits); }
-    RegMask operator^(RegMask o) const { return RegMask(bits ^ o.bits); }
-    RegMask operator~() const { return RegMask(~bits); }
+    constexpr RegMask
+    operator|(RegMask o) const
+    {
+        return RegMask(bits | o.bits);
+    }
+    constexpr RegMask
+    operator&(RegMask o) const
+    {
+        return RegMask(bits & o.bits);
+    }
+    constexpr RegMask
+    operator^(RegMask o) const
+    {
+        return RegMask(bits ^ o.bits);
+    }
+    constexpr RegMask operator~() const { return RegMask(~bits); }
     RegMask &operator|=(RegMask o) { bits |= o.bits; return *this; }
     RegMask &operator&=(RegMask o) { bits &= o.bits; return *this; }
     bool operator==(const RegMask &o) const { return bits == o.bits; }
     bool operator!=(const RegMask &o) const { return bits != o.bits; }
 
     /** Set difference: bits set in *this but not in o. */
-    RegMask minus(RegMask o) const { return RegMask(bits & ~o.bits); }
+    constexpr RegMask
+    minus(RegMask o) const
+    {
+        return RegMask(bits & ~o.bits);
+    }
 
     /** Invoke f(reg) for every set bit, lowest first. */
     template <typename F>

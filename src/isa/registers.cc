@@ -19,131 +19,6 @@ const std::array<const char *, numIntRegs> intNames = {
 
 } // namespace
 
-RegMask
-calleeSavedMask()
-{
-    RegMask m;
-    for (RegIndex r = 16; r <= 23; ++r)
-        m.set(r);
-    m.set(regFp);
-    return m;
-}
-
-RegMask
-callerSavedMask()
-{
-    RegMask m;
-    m.set(regAt);
-    m.set(regV0);
-    m.set(regV1);
-    for (RegIndex r = regA0; r <= regA3; ++r)
-        m.set(r);
-    for (RegIndex r = 8; r <= 15; ++r)
-        m.set(r);
-    m.set(24);
-    m.set(25);
-    m.set(regRa);
-    return m;
-}
-
-RegMask
-idviMask()
-{
-    RegMask m;
-    m.set(regAt);
-    for (RegIndex r = 8; r <= 15; ++r)
-        m.set(r);
-    m.set(24);
-    m.set(25);
-    return m;
-}
-
-RegMask
-idviCallMask()
-{
-    return idviMask() | returnValueMask();
-}
-
-RegMask
-idviReturnMask()
-{
-    return idviMask() | argMask();
-}
-
-RegMask
-argMask()
-{
-    RegMask m;
-    for (RegIndex r = regA0; r <= regA3; ++r)
-        m.set(r);
-    return m;
-}
-
-RegMask
-returnValueMask()
-{
-    return RegMask{regV0, regV1};
-}
-
-RegMask
-allocatableCalleeSaved()
-{
-    RegMask m;
-    for (RegIndex r = 16; r <= 23; ++r)
-        m.set(r);
-    return m;
-}
-
-RegMask
-allocatableCallerSaved()
-{
-    RegMask m;
-    for (RegIndex r = 8; r <= 15; ++r)
-        m.set(r);
-    m.set(24);
-    m.set(25);
-    return m;
-}
-
-RegMask
-contextSwitchSavedMask()
-{
-    RegMask m = RegMask::firstN(numIntRegs);
-    m.clear(regZero);
-    m.clear(regK0);
-    m.clear(regK1);
-    return m;
-}
-
-RegMask
-abiEntryLiveMask()
-{
-    RegMask m = argMask();
-    m.set(regZero);
-    m.set(regSp);
-    m.set(regGp);
-    m.set(regRa);
-    return m;
-}
-
-RegMask
-fpCallerSavedMask()
-{
-    RegMask m;
-    for (RegIndex r = 0; r < 20; ++r)
-        m.set(r);
-    return m;
-}
-
-RegMask
-fpCalleeSavedMask()
-{
-    RegMask m;
-    for (RegIndex r = 20; r < numFpRegs; ++r)
-        m.set(r);
-    return m;
-}
-
 bool
 isCalleeSaved(RegIndex r)
 {

@@ -19,6 +19,7 @@
 #ifndef DVI_ISA_REGISTERS_HH
 #define DVI_ISA_REGISTERS_HH
 
+#include <cstdint>
 #include <string>
 
 #include "base/reg_mask.hh"
@@ -50,14 +51,75 @@ constexpr RegIndex regFp = 30;   ///< frame pointer (callee-saved)
 constexpr RegIndex regRa = 31;   ///< return address
 /** @} */
 
+/** Registers lo..hi inclusive (hi < 64), as a constant mask. */
+constexpr RegMask
+regRange(RegIndex lo, RegIndex hi)
+{
+    return RegMask((~std::uint64_t{0} >> (63 - hi)) &
+                   (~std::uint64_t{0} << lo));
+}
+
+/** The one-register mask {r} (r < 64), as a constant. */
+constexpr RegMask
+regBit(RegIndex r)
+{
+    return RegMask(std::uint64_t{1} << r);
+}
+
+// The ABI masks below are constants: the emulators, the timing core
+// and the context-switch scheduler read them per call, return or
+// switch.
+
 /** Callee-saved integer registers: s0–s7 (r16–r23) and fp (r30). */
-RegMask calleeSavedMask();
+constexpr RegMask
+calleeSavedMask()
+{
+    return regRange(16, 23) | regBit(regFp);
+}
+
+/** Argument-passing registers a0–a3. */
+constexpr RegMask
+argMask()
+{
+    return regRange(regA0, regA3);
+}
+
+/** Return-value registers v0–v1. */
+constexpr RegMask
+returnValueMask()
+{
+    return regRange(regV0, regV1);
+}
+
+/**
+ * Caller-saved temporaries the compiler may allocate (t0–t7, t8–t9).
+ */
+constexpr RegMask
+allocatableCallerSaved()
+{
+    return regRange(8, 15) | regRange(24, 25);
+}
+
+/**
+ * Callee-saved registers the compiler may allocate (s0–s7). The frame
+ * pointer is reserved.
+ */
+constexpr RegMask
+allocatableCalleeSaved()
+{
+    return regRange(16, 23);
+}
 
 /**
  * All caller-saved integer registers: at, v0–v1, a0–a3, t0–t7, t8–t9,
  * and ra.
  */
-RegMask callerSavedMask();
+constexpr RegMask
+callerSavedMask()
+{
+    return regBit(regAt) | returnValueMask() | argMask() |
+           allocatableCallerSaved() | regBit(regRa);
+}
 
 /**
  * The ABI's I-DVI mask: caller-saved temporaries that are dead at
@@ -65,7 +127,11 @@ RegMask callerSavedMask();
  * comment for why argument/return registers are excluded from this
  * common subset.
  */
-RegMask idviMask();
+constexpr RegMask
+idviMask()
+{
+    return regBit(regAt) | allocatableCallerSaved();
+}
 
 /**
  * I-DVI at a dynamic call (procedure *entry*): the temporaries plus
@@ -73,37 +139,33 @@ RegMask idviMask();
  * (§2: caller-saved values are "dead at the entry ... points of any
  * procedure"). Argument registers are live at entry and excluded.
  */
-RegMask idviCallMask();
+constexpr RegMask
+idviCallMask()
+{
+    return idviMask() | returnValueMask();
+}
 
 /**
  * I-DVI at a dynamic return (procedure *exit*): the temporaries plus
  * the argument registers — a0–a3 carry nothing *out* of a callee.
  * Return-value registers are live at exit and excluded.
  */
-RegMask idviReturnMask();
-
-/** Argument-passing registers a0–a3. */
-RegMask argMask();
-
-/** Return-value registers v0–v1. */
-RegMask returnValueMask();
-
-/**
- * Callee-saved registers the compiler may allocate (s0–s7). The frame
- * pointer is reserved.
- */
-RegMask allocatableCalleeSaved();
-
-/**
- * Caller-saved temporaries the compiler may allocate (t0–t7, t8–t9).
- */
-RegMask allocatableCallerSaved();
+constexpr RegMask
+idviReturnMask()
+{
+    return idviMask() | argMask();
+}
 
 /**
  * Integer registers a context switch must preserve in the baseline
  * (everything except the hard-wired zero and the kernel temporaries).
  */
-RegMask contextSwitchSavedMask();
+constexpr RegMask
+contextSwitchSavedMask()
+{
+    return regRange(0, numIntRegs - 1)
+        .minus(regBit(regZero) | regBit(regK0) | regBit(regK1));
+}
 
 /**
  * Registers holding defined values at process entry, per the ABI:
@@ -112,14 +174,27 @@ RegMask contextSwitchSavedMask();
  * else contains garbage the program must not read, so the LVM can
  * start with only these bits live.
  */
-RegMask abiEntryLiveMask();
+constexpr RegMask
+abiEntryLiveMask()
+{
+    return argMask() | regBit(regZero) | regBit(regSp) |
+           regBit(regGp) | regBit(regRa);
+}
 
 /** Caller-saved FP registers (f0–f19): dead across calls in the
  * FP I-DVI convention. */
-RegMask fpCallerSavedMask();
+constexpr RegMask
+fpCallerSavedMask()
+{
+    return regRange(0, 19);
+}
 
 /** Callee-saved FP registers (f20–f31). */
-RegMask fpCalleeSavedMask();
+constexpr RegMask
+fpCalleeSavedMask()
+{
+    return regRange(20, numFpRegs - 1);
+}
 
 /** True if r is callee-saved under the ABI. */
 bool isCalleeSaved(RegIndex r);

@@ -10,11 +10,13 @@ namespace serve
 {
 
 CampaignQueue::CampaignQueue(unsigned maxConcurrent,
-                             std::size_t maxQueue, Runner runner)
+                             std::size_t maxQueue, Runner runner,
+                             Finished finished)
     : maxConcurrent_(maxConcurrent ? maxConcurrent : 1),
-      maxQueue_(maxQueue), runner_(std::move(runner))
+      maxQueue_(maxQueue), runner_(std::move(runner)),
+      finished_(std::move(finished))
 {
-    panic_if(!runner_, "CampaignQueue: null runner");
+    panic_if(!runner_ || !finished_, "CampaignQueue: null callback");
     dispatchers_.reserve(maxConcurrent_);
     for (unsigned i = 0; i < maxConcurrent_; ++i)
         dispatchers_.emplace_back([this] { dispatchLoop(); });
@@ -66,6 +68,7 @@ CampaignQueue::cancelPending(const CampaignSession &session)
     if (victim) {
         victim->requestCancel();
         victim->finishCancelled();
+        finished_(victim);
         return true;
     }
     return false;
@@ -115,6 +118,7 @@ CampaignQueue::shutdown()
     for (const auto &s : orphans) {
         s->requestCancel();
         s->finishCancelled();
+        finished_(s);
     }
     for (auto &t : dispatchers_)
         if (t.joinable())
@@ -145,6 +149,7 @@ CampaignQueue::dispatchLoop()
             session->markRunning();
             runner_(session);
         }
+        finished_(session);
 
         {
             std::lock_guard<std::mutex> lk(mu_);

@@ -13,7 +13,10 @@
  * runner callback (the server's campaign executor, which fans the
  * campaign's jobs into the shared ThreadPool's FIFO queue). A
  * session whose cancel flag was raised while still queued is flipped
- * straight to Cancelled without running. shutdown() stops admission,
+ * straight to Cancelled without running. Every admitted session
+ * reaches a terminal state through the queue, and the finished
+ * callback hears of each one (the server's retention of finished
+ * sessions keys off it). shutdown() stops admission,
  * cancels everything still pending, raises the cooperative cancel
  * flag on running campaigns, and joins the dispatchers — in-flight
  * jobs stop at their next cancel poll, nothing is torn down
@@ -47,6 +50,12 @@ class CampaignQueue
     using Runner =
         std::function<void(const std::shared_ptr<CampaignSession> &)>;
 
+    /** Hears of each admitted session once it is terminal: run to
+     * the end, cancelled while queued, or dropped at shutdown.
+     * Must not throw. */
+    using Finished =
+        std::function<void(const std::shared_ptr<CampaignSession> &)>;
+
     /** Admission verdicts. */
     enum class Admission
     {
@@ -57,7 +66,7 @@ class CampaignQueue
 
     /** Starts `maxConcurrent` dispatcher threads. */
     CampaignQueue(unsigned maxConcurrent, std::size_t maxQueue,
-                  Runner runner);
+                  Runner runner, Finished finished);
 
     /** shutdown()s if the caller has not. */
     ~CampaignQueue();
@@ -94,6 +103,7 @@ class CampaignQueue
     const unsigned maxConcurrent_;
     const std::size_t maxQueue_;
     const Runner runner_;
+    const Finished finished_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

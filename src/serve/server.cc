@@ -102,6 +102,9 @@ DviServer::DviServer(const ServeOptions &opts)
       queue_(opts.maxConcurrent, opts.maxQueue,
              [this](const std::shared_ptr<CampaignSession> &s) {
                  runCampaign(s);
+             },
+             [this](const std::shared_ptr<CampaignSession> &s) {
+                 retire(s);
              })
 {
     metrics_.set(mids_->poolWorkers, pool_.numThreads());
@@ -197,10 +200,18 @@ DviServer::handle(const HttpRequest &req, HttpResponse &res)
             rest = rest.substr(0, slash);
         }
         const std::shared_ptr<CampaignSession> session = find(rest);
-        if (!session)
-            return res.respond(
-                404, kJsonType,
-                errorBody("no campaign '" + rest + "'"));
+        if (!session) {
+            std::string msg = "no campaign '" + rest + "'";
+            // An id the server issued but no longer holds was
+            // refused at admission or dropped after finishing.
+            std::uint64_t id = 0;
+            if (parseId(rest, id) && id >= 1 &&
+                id <= campaignsSubmitted())
+                msg += " (the server keeps only the " +
+                       std::to_string(maxFinishedSessions) +
+                       " most recently finished campaigns)";
+            return res.respond(404, kJsonType, errorBody(msg));
+        }
         if (sub.empty()) {
             if (req.method == "GET")
                 return handleStatus(session, res);
@@ -418,6 +429,17 @@ DviServer::handleMetrics(HttpResponse &res)
 }
 
 // ----------------------------------------------- campaign runner
+
+void
+DviServer::retire(const std::shared_ptr<CampaignSession> &s)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    finished_.push_back(s->id());
+    if (finished_.size() > maxFinishedSessions) {
+        sessions_.erase(finished_.front());
+        finished_.pop_front();
+    }
+}
 
 void
 DviServer::runCampaign(const std::shared_ptr<CampaignSession> &s)

@@ -18,8 +18,10 @@
  *                                    400 manifest diagnostic
  *                                    429 over capacity (Retry-After)
  *                                    503 shutting down
- *   GET    /campaigns                all sessions, id order
+ *   GET    /campaigns                kept sessions, id order
  *   GET    /campaigns/cN             status + progress counters
+ *                                    (404 once cN is dropped; see
+ *                                    maxFinishedSessions)
  *   GET    /campaigns/cN/report      finished report; byte-identical
  *                                    to `dvi-run --manifest` output
  *                                    (409 until Done)
@@ -45,6 +47,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,6 +93,13 @@ struct ServeOptions
 class DviServer
 {
   public:
+    /** Finished (done, failed or cancelled) sessions the server
+     * keeps. Once one more finishes, the one that finished earliest
+     * leaves the registry and its id answers 404; queued and running
+     * sessions are never dropped, and an open event stream keeps its
+     * own session until the stream ends. */
+    static constexpr std::size_t maxFinishedSessions = 64;
+
     explicit DviServer(const ServeOptions &opts);
 
     /** shutdown()s if the caller has not. */
@@ -141,6 +151,10 @@ class DviServer
     /** Dispatcher-side campaign execution, start to terminal. */
     void runCampaign(const std::shared_ptr<CampaignSession> &s);
 
+    /** Note a terminal session, dropping the earliest-finished one
+     * beyond maxFinishedSessions. */
+    void retire(const std::shared_ptr<CampaignSession> &s);
+
     std::shared_ptr<CampaignSession> find(const std::string &id);
 
     ServeOptions opts_;
@@ -154,6 +168,8 @@ class DviServer
     mutable std::mutex mu_;
     std::map<std::uint64_t, std::shared_ptr<CampaignSession>>
         sessions_;
+    /** Ids of the kept finished sessions, earliest finished first. */
+    std::deque<std::uint64_t> finished_;
     std::atomic<std::uint64_t> nextId_{1};
     std::atomic<bool> shuttingDown_{false};
 };

@@ -13,14 +13,15 @@
  * and — once Done — the finished report bytes, exactly what
  * `dvi-run --manifest` would have written for the same manifest.
  *
- * The server keeps every session until it exits, so a finished one
- * keeps only what the API serves. The dispatcher takes the parsed
- * scenarios away at dispatch (takeScenarios), leaving the campaign
- * name, job count and profile flag. The event log is one byte
- * buffer plus line-end offsets. The terminal transition shrinks the
- * log and the report to fit and folds the MetricRegistry (its fixed
- * counter and gauge arrays) into the two counters the status
- * document reads.
+ * The server keeps every queued and running session and the
+ * DviServer::maxFinishedSessions (64) most recently finished ones,
+ * and a finished one keeps only what the API serves. The dispatcher
+ * takes the parsed scenarios away at dispatch (takeScenarios),
+ * leaving the campaign name, job count and profile flag. The event
+ * log is one byte buffer plus line-end offsets. The terminal
+ * transition shrinks the log and the report to fit and folds the
+ * MetricRegistry (its fixed counter and gauge arrays) into the two
+ * counters the status document reads.
  *
  * Thread model: the HTTP threads read state/lines/report while a
  * queue dispatcher runs the campaign and the driver's pool workers

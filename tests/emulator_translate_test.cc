@@ -1,7 +1,8 @@
 /**
  * @file
  * Tier-1 translation tests: basic-block formation, the pre-baked
- * dead-read probe lists, interpreter/cache lockstep over branches,
+ * dead-read probe lists and per-block probe summaries, the hoisted
+ * liveness probes, interpreter/cache lockstep over branches,
  * fuel-guarded back edges and mutual recursion, misaligned-fault
  * paths (mid-block prefix stats), and TranslationCache keying —
  * per-executable invalidation, LRU eviction, recompile staleness,
@@ -59,7 +60,8 @@ expectStatsEq(const EmulatorStats &a, const EmulatorStats &b)
 }
 
 /** Run `exe` under both tiers with identical options and require
- * bit-identical stats, halt state, and result hash. */
+ * bit-identical stats, halt state, registers, liveness state (LVM,
+ * LVM-Stack, live FP registers) and result hash. */
 void
 expectTierParity(const comp::Executable &exe, EmulatorOptions opts,
                  std::uint64_t max_insts = 0)
@@ -79,7 +81,21 @@ expectTierParity(const comp::Executable &exe, EmulatorOptions opts,
     expectStatsEq(interp.stats(), xlate.stats());
     for (RegIndex r = 0; r < isa::numIntRegs; ++r)
         EXPECT_EQ(interp.intReg(r), xlate.intReg(r)) << "r" << int(r);
+    EXPECT_EQ(interp.lvm().mask(), xlate.lvm().mask());
+    EXPECT_EQ(interp.lvmStack().size(), xlate.lvmStack().size());
+    EXPECT_EQ(interp.lvmStack().top(), xlate.lvmStack().top());
+    EXPECT_EQ(interp.fpLive(), xlate.fpLive());
     EXPECT_EQ(interp.resultHash(), xlate.resultHash());
+}
+
+/** Stats of a run of `exe` on the translation tier. */
+EmulatorStats
+xlateStats(const comp::Executable &exe, EmulatorOptions opts)
+{
+    opts.tier = ExecTier::Xlate;
+    Emulator emu(exe, opts);
+    emu.run();
+    return emu.stats();
 }
 
 // ------------------------------------------------- block formation
@@ -216,6 +232,88 @@ TEST(TranslateBlock, MicroOpsCarryTheProbeList)
     EXPECT_EQ(b.uops[0].chk0, 10);
     EXPECT_EQ(b.uops[0].chk1, 11);
     EXPECT_EQ(b.uops[1].nChk, 0u);
+}
+
+// ------------------------------------------- block probe summaries
+//
+// At process entry the LVM holds only zero, a0-a3, gp, sp and ra
+// (isa::abiEntryLiveMask), so the blocks below read registers that
+// are dead at entry on purpose.
+
+TEST(ProbeSummary, RedefinedRegisterLeavesTheEntryMask)
+{
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 5, 5, 1),  // probes r5 first
+        Instruction::aluImm(Opcode::Addi, 8, 0, 1),
+        Instruction::alu(Opcode::Add, 9, 8, 10),     // r8 redefined
+        Instruction::halt(),
+    });
+    const XBlock b = translateBlock(exe.code, 0);
+    for (const ProbeSummary &ps : b.probes) {
+        EXPECT_EQ(ps.entryProbes, (RegMask{5, 10}));
+        EXPECT_FALSE(ps.innerProbe);
+    }
+}
+
+TEST(ProbeSummary, KillThenReadIsFlaggedOnlyWhenEdviIsHonored)
+{
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 8, 0, 1),
+        Instruction::kill(RegMask{8, 9}),
+        Instruction::aluImm(Opcode::Addi, 10, 8, 1),  // r8 killed
+        Instruction::aluImm(Opcode::Addi, 9, 0, 2),
+        Instruction::aluImm(Opcode::Addi, 11, 9, 1),  // r9 redefined
+        Instruction::halt(),
+    });
+    const XBlock b = translateBlock(exe.code, 0);
+    const ProbeSummary &ignored = b.probes[false];
+    const ProbeSummary &honored = b.probes[true];
+    EXPECT_TRUE(ignored.entryProbes.empty());
+    EXPECT_FALSE(ignored.innerProbe);
+    EXPECT_TRUE(honored.entryProbes.empty());
+    EXPECT_TRUE(honored.innerProbe);
+
+    // A kill of a register the block then redefines before reading
+    // it fixes nothing: no flag.
+    const comp::Executable redefined = assemble({
+        Instruction::kill(RegMask{8}),
+        Instruction::aluImm(Opcode::Addi, 8, 0, 1),
+        Instruction::aluImm(Opcode::Addi, 10, 8, 1),
+        Instruction::halt(),
+    });
+    const XBlock r = translateBlock(redefined.code, 0);
+    EXPECT_FALSE(r.probes[true].innerProbe);
+    EXPECT_TRUE(r.probes[true].entryProbes.empty());
+}
+
+TEST(ProbeSummary, ReadAfterLvmLoadIsFlagged)
+{
+    const comp::Executable exe = assemble({
+        Instruction::lvmLoad(isa::regSp, -8),  // probes sp first
+        Instruction::aluImm(Opcode::Addi, 9, 0, 1),
+        Instruction::aluImm(Opcode::Addi, 10, 9, 1),
+        Instruction::halt(),
+    });
+    const XBlock b = translateBlock(exe.code, 0);
+    for (const ProbeSummary &ps : b.probes) {
+        EXPECT_EQ(ps.entryProbes, RegMask{isa::regSp});
+        EXPECT_TRUE(ps.innerProbe);
+    }
+}
+
+TEST(ProbeSummary, StoreProbesBothRegisters)
+{
+    const comp::Executable exe = assemble({
+        Instruction::store(10, 11, 8),
+        Instruction::aluImm(Opcode::Addi, 12, 0, 1),
+        Instruction::store(12, 13, 8),  // data redefined, base not
+        Instruction::halt(),
+    });
+    const XBlock b = translateBlock(exe.code, 0);
+    for (const ProbeSummary &ps : b.probes) {
+        EXPECT_EQ(ps.entryProbes, (RegMask{10, 11, 13}));
+        EXPECT_FALSE(ps.innerProbe);
+    }
 }
 
 // ------------------------------------------------ execution parity
@@ -435,6 +533,122 @@ TEST(XlateTier, FirstDeadReadDiagnosticsMatchInterpreter)
     Emulator b(exe, opts);
     b.run();
     expectStatsEq(a.stats(), b.stats());
+}
+
+TEST(XlateTier, DeadReadAtBlockEntryMatchesInterpreter)
+{
+    // r9 is dead at process entry; the entry test must send the
+    // block down the per-micro-op probes.
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 8, 0, 1),
+        Instruction::alu(Opcode::Add, 10, 8, 9),
+        Instruction::halt(),
+    });
+    expectTierParity(exe, EmulatorOptions{});
+    const EmulatorStats st = xlateStats(exe, EmulatorOptions{});
+    EXPECT_EQ(st.deadReads, 1u);
+    EXPECT_EQ(st.firstDeadReadPc, 1u);
+    EXPECT_EQ(st.firstDeadReadReg, 9);
+}
+
+TEST(XlateTier, DeadReadAfterInBlockKillMatchesInterpreter)
+{
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 8, 0, 1),
+        Instruction::kill(RegMask{8}),
+        Instruction::aluImm(Opcode::Addi, 9, 8, 1),  // reads killed r8
+        Instruction::halt(),
+    });
+    EmulatorOptions opts;
+    expectTierParity(exe, opts);
+    EmulatorStats st = xlateStats(exe, opts);
+    EXPECT_EQ(st.deadReads, 1u);
+    EXPECT_EQ(st.firstDeadReadPc, 2u);
+    EXPECT_EQ(st.firstDeadReadReg, 8);
+
+    // With E-DVI ignored the kill is a no-op: no dead read.
+    opts.honorEdvi = false;
+    expectTierParity(exe, opts);
+    st = xlateStats(exe, opts);
+    EXPECT_EQ(st.deadReads, 0u);
+}
+
+TEST(XlateTier, ProbeAfterLvmLoadMatchesInterpreter)
+{
+    // One block: it saves an LVM with r8 live, kills r8, restores
+    // the save and reads r8 (live again, no dead read). Then it
+    // restores an all-dead mask (a stored zero) and reads a0, which
+    // was live before that restore: one dead read.
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 8, 0, 5),
+        Instruction::lvmSave(isa::regSp, -8),
+        Instruction::kill(RegMask{8}),
+        Instruction::lvmLoad(isa::regSp, -8),
+        Instruction::aluImm(Opcode::Addi, 9, 8, 1),
+        Instruction::store(0, isa::regSp, -16),
+        Instruction::lvmLoad(isa::regSp, -16),
+        Instruction::aluImm(Opcode::Addi, 10, isa::regA0, 1),
+        Instruction::halt(),
+    });
+    expectTierParity(exe, EmulatorOptions{});
+    const EmulatorStats st = xlateStats(exe, EmulatorOptions{});
+    EXPECT_EQ(st.deadReads, 1u);
+    EXPECT_EQ(st.firstDeadReadPc, 7u);
+    EXPECT_EQ(st.firstDeadReadReg, isa::regA0);
+}
+
+TEST(XlateTier, MisalignedFaultMidBlockKeepsTheLvm)
+{
+    // Liveness on (the default): the block's definitions and kill
+    // before the faulting store must reach lvm_ on the fault exit.
+    const comp::Executable exe = assemble({
+        Instruction::aluImm(Opcode::Addi, 9, 0, 0x1001),
+        Instruction::aluImm(Opcode::Addi, 8, 0, 7),
+        Instruction::kill(RegMask{isa::regA0}),
+        Instruction::store(8, 9, 0),  // faults: 0x1001 unaligned
+        Instruction::aluImm(Opcode::Addi, 10, 0, 1),
+        Instruction::halt(),
+    });
+    EmulatorOptions opts;
+    opts.faultOnMisaligned = true;
+    expectTierParity(exe, opts);
+
+    opts.tier = ExecTier::Xlate;
+    Emulator emu(exe, opts);
+    emu.run();
+    EXPECT_TRUE(emu.faulted());
+    EXPECT_TRUE(emu.lvm().isLive(8));
+    EXPECT_TRUE(emu.lvm().isLive(9));
+    EXPECT_FALSE(emu.lvm().isLive(isa::regA0));
+    EXPECT_FALSE(emu.lvm().isLive(10));
+}
+
+TEST(XlateTier, LiveStoreReadsTheBlocksOwnLiveness)
+{
+    // s0 (r16) is dead at entry. Redefined in the block, its save is
+    // live; killed after that, its save is eliminable — but only
+    // when E-DVI is honored.
+    const comp::Executable redefined = assemble({
+        Instruction::aluImm(Opcode::Addi, 16, 0, 3),
+        Instruction::liveStore(16, isa::regSp, -8),
+        Instruction::halt(),
+    });
+    expectTierParity(redefined, EmulatorOptions{});
+    EXPECT_EQ(xlateStats(redefined, EmulatorOptions{}).saveElimOracle,
+              0u);
+
+    const comp::Executable killed = assemble({
+        Instruction::aluImm(Opcode::Addi, 16, 0, 3),
+        Instruction::kill(RegMask{16}),
+        Instruction::liveStore(16, isa::regSp, -8),
+        Instruction::halt(),
+    });
+    EmulatorOptions opts;
+    expectTierParity(killed, opts);
+    EXPECT_EQ(xlateStats(killed, opts).saveElimOracle, 1u);
+    opts.honorEdvi = false;
+    expectTierParity(killed, opts);
+    EXPECT_EQ(xlateStats(killed, opts).saveElimOracle, 0u);
 }
 
 // --------------------------------------------- translation cache

@@ -91,6 +91,26 @@ TEST(CallingConvention, FpMasksPartition)
               numFpRegs);
 }
 
+TEST(CallingConvention, MasksAreConstantsWithPinnedValues)
+{
+    // Each ABI mask is a compile-time constant; the raw values are
+    // the ones the out-of-line builders produced, bit for bit.
+    static_assert(calleeSavedMask().raw() == 0x40ff0000, "");
+    static_assert(callerSavedMask().raw() == 0x8300fffe, "");
+    static_assert(idviMask().raw() == 0x0300ff02, "");
+    static_assert(idviCallMask().raw() == 0x0300ff0e, "");
+    static_assert(idviReturnMask().raw() == 0x0300fff2, "");
+    static_assert(argMask().raw() == 0xf0, "");
+    static_assert(returnValueMask().raw() == 0xc, "");
+    static_assert(allocatableCalleeSaved().raw() == 0x00ff0000, "");
+    static_assert(allocatableCallerSaved().raw() == 0x0300ff00, "");
+    static_assert(contextSwitchSavedMask().raw() == 0xf3fffffe, "");
+    static_assert(abiEntryLiveMask().raw() == 0xb00000f1, "");
+    static_assert(fpCallerSavedMask().raw() == 0x000fffff, "");
+    static_assert(fpCalleeSavedMask().raw() == 0xfff00000, "");
+    SUCCEED();
+}
+
 TEST(CallingConvention, RegisterNames)
 {
     EXPECT_EQ(intRegName(0), "zero");

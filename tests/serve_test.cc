@@ -669,6 +669,81 @@ TEST_F(ServeChaos, StalledClientTimesOutWithoutBlockingOthers)
     server.shutdown();
 }
 
+TEST(Serve, KeepsOnlyTheMostRecentlyFinishedSessions)
+{
+    // One dispatcher, so campaigns finish in id order; batches of 10
+    // fit the queue even while the previous batch's last campaign
+    // still holds the running slot.
+    serve::ServeOptions opts;
+    opts.port = 0;
+    opts.maxConcurrent = 1;
+    opts.maxQueue = 10;
+    serve::DviServer server(opts);
+    server.start();
+
+    sim::CampaignManifest one;
+    one.name = "retain";
+    one.scenarios.push_back(tinyScenario(
+        workload::BenchmarkId::Li, sim::presetFull(), 500));
+    const std::string m = sim::manifestToJson(one);
+    const std::size_t total = serve::DviServer::maxFinishedSessions + 2;
+    for (std::size_t i = 1; i <= total; ++i) {
+        ASSERT_EQ(
+            httpRequest(server.port(), "POST", "/campaigns", m).status,
+            202);
+        if (i % 10 == 0 || i == total)
+            awaitState(server.port(), "c" + std::to_string(i), "done");
+    }
+    // The last campaign drops c2 just after it reads done.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (httpRequest(server.port(), "GET", "/campaigns/c2").status !=
+           404) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+
+    // The two earliest finished sessions are gone, with a message
+    // that names the limit; the rest are served as before.
+    for (const char *id : {"c1", "c2"}) {
+        const ClientResponse gone = httpRequest(
+            server.port(), "GET", std::string("/campaigns/") + id);
+        EXPECT_EQ(gone.status, 404) << id;
+        EXPECT_NE(gone.body.find("keeps only the 64 most recently "
+                                 "finished campaigns"),
+                  std::string::npos)
+            << gone.body;
+        EXPECT_EQ(httpRequest(server.port(), "GET",
+                              std::string("/campaigns/") + id +
+                                  "/report")
+                      .status,
+                  404);
+    }
+    EXPECT_EQ(httpRequest(server.port(), "GET", "/campaigns/c3").status,
+              200);
+    const ClientResponse last = httpRequest(
+        server.port(), "GET",
+        "/campaigns/c" + std::to_string(total) + "/report");
+    ASSERT_EQ(last.status, 200);
+    EXPECT_EQ(last.body, directReportBytes(m));
+
+    // The list holds only the kept sessions; /healthz still counts
+    // every submission.
+    const ClientResponse list =
+        httpRequest(server.port(), "GET", "/campaigns");
+    ASSERT_EQ(list.status, 200);
+    std::size_t listed = 0;
+    for (std::size_t at = list.body.find("\"id\": \"c");
+         at != std::string::npos;
+         at = list.body.find("\"id\": \"c", at + 1))
+        ++listed;
+    EXPECT_EQ(listed, serve::DviServer::maxFinishedSessions);
+    EXPECT_NE(httpRequest(server.port(), "GET", "/healthz")
+                  .body.find("\"campaigns\": " + std::to_string(total)),
+              std::string::npos);
+    server.shutdown();
+}
+
 TEST(Serve, ShutdownCancelsRunningCampaigns)
 {
     serve::ServeOptions opts;
