@@ -1,8 +1,9 @@
 /**
  * @file
- * Tiny helpers shared by the CLI front ends (dvi-run, dvi-fuzz):
- * strict argument parsing and whole-file slurping, both fatal() on
- * error with the offending flag or path named.
+ * Tiny helpers shared by the CLI front ends (dvi-run, dvi-fuzz,
+ * dvi-lint, dvi-serve): strict argument parsing and whole-file
+ * slurping, both fatal() on error with the offending flag or path
+ * named.
  */
 
 #ifndef DVI_BASE_CLI_HH
@@ -11,8 +12,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "base/logging.hh"
 
@@ -21,16 +24,39 @@ namespace dvi
 namespace cli
 {
 
-/** Parse a non-negative decimal integer argument; fatal on
- * garbage. */
-inline std::uint64_t
+/** Parse a decimal integer argument into T, fatal on anything but
+ * digits or on a value above T's maximum, so callers never narrow
+ * unchecked (strtoull alone would take a sign, leading blanks and
+ * an overflow). */
+template <typename T = std::uint64_t>
+T
 parseUint(const char *flag, const char *text)
 {
+    static_assert(std::is_unsigned_v<T>);
+    T v = 0;
+    bool ok = *text != '\0';
+    for (const char *p = text; ok && *p; ++p) {
+        const unsigned digit = static_cast<unsigned char>(*p) - '0';
+        ok = digit < 10 &&
+             v <= (std::numeric_limits<T>::max() - digit) / 10;
+        v = static_cast<T>(v * 10 + digit);
+    }
+    fatal_if(!ok, "bad value for ", flag, ": '", text, "' (want 0..",
+             +std::numeric_limits<T>::max(), ")");
+    return v;
+}
+
+/** Parse a fraction in 0..1; fatal on garbage, NaN or a value out of
+ * range. */
+inline double
+parseFraction(const char *flag, const char *text)
+{
     char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    fatal_if(end == text || *end != '\0', "bad value for ", flag,
-             ": '", text, "'");
-    return static_cast<std::uint64_t>(v);
+    const double v = std::strtod(text, &end);
+    // Written so NaN, which fails every comparison, is rejected.
+    fatal_if(end == text || *end != '\0' || !(v >= 0.0 && v <= 1.0),
+             "bad value for ", flag, ": '", text, "' (want 0..1)");
+    return v;
 }
 
 /** Read a whole file; fatal when it cannot be opened or read. */

@@ -49,17 +49,15 @@ ExecutableCache::get(workload::BenchmarkId id,
         entry->inProgress = true;
     }
     try {
-        // A campaign-local cache carries its campaign's sink; the
-        // process-wide cache dvi-serve shares has none, so compile
-        // spans resolve through the thread's scoped sink and land
-        // in the stream of whichever campaign triggered the build.
-        obs::TelemetrySink *sink =
-            sink_ ? sink_ : obs::currentSink();
+        // Campaign::run names each job's campaign sink current on its
+        // thread (obs::SinkScope), so compile spans land in the stream
+        // of whichever campaign triggered the build, even from a cache
+        // campaigns share; with no campaign sink, in the global one.
         json::Value begin = json::Value::object();
         begin.set("benchmark", workload::benchmarkName(id));
         begin.set("policy", sim::edviPolicyName(policy));
-        obs::PhaseSpan span(sink, "compile", obs::currentJob(),
-                            std::move(begin));
+        obs::PhaseSpan span(obs::currentSink(), "compile",
+                            obs::currentJob(), std::move(begin));
         // Chaos site: a throw here releases the slot un-compiled,
         // so the next get() for this key retries the compile —
         // which is exactly what the campaign retry loop relies on.
@@ -195,12 +193,9 @@ Campaign::run(ThreadPool &pool, const CampaignOptions &opts) const
         mids = std::make_unique<CampaignMetrics>(*metrics);
 
     // The compile cache is campaign-local unless the caller shares a
-    // process-wide one (dvi-serve); a shared cache keeps its own
-    // telemetry wiring (scoped-sink fallback) and its counters
-    // accumulate across campaigns.
+    // process-wide one (dvi-serve), whose counters accumulate across
+    // campaigns.
     ExecutableCache localCache;
-    if (!opts.cache)
-        localCache.setTelemetry(sink);
     ExecutableCache &cache = opts.cache ? *opts.cache : localCache;
 
     const double campaignT0 = sink ? sink->elapsedSeconds() : 0.0;

@@ -55,14 +55,6 @@ class ExecutableCache
     /** Number of distinct (benchmark, policy) pairs compiled. */
     std::size_t size() const;
 
-    /** Telemetry for this cache: compiles become `compile` phase
-     * spans on the sink. May be nullptr (the default). */
-    void
-    setTelemetry(obs::TelemetrySink *sink)
-    {
-        sink_ = sink;
-    }
-
     /** @name Hit / miss accounting
      * A get() that found the executable already published (or
      * blocked while another worker compiled it) is a hit; a get()
@@ -101,7 +93,6 @@ class ExecutableCache
 
     mutable std::mutex mu;
     std::map<Key, std::shared_ptr<Entry>> entries;
-    obs::TelemetrySink *sink_ = nullptr;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
 };

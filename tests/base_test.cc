@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for base utilities: RegMask, DynBitset, Rng.
+ * Unit tests for base utilities: RegMask, DynBitset, Rng,
+ * RingBuffer and the CLI argument parsers.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
+#include "base/cli.hh"
 #include "base/dyn_bitset.hh"
 #include "base/reg_mask.hh"
 #include "base/ring_buffer.hh"
@@ -413,6 +416,51 @@ TEST(RingBuffer, PhysicalSlotsStableAcrossManyWraps)
         EXPECT_EQ(rb[0], v);
         EXPECT_EQ(rb.physIndex(0), slot);
     }
+}
+
+TEST(Cli, ParseUintTakesDigitsUpToTheTypesMaximum)
+{
+    EXPECT_EQ(cli::parseUint("--n", "0"), 0u);
+    EXPECT_EQ(cli::parseUint("--n", "007"), 7u);
+    EXPECT_EQ(cli::parseUint("--n", "18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_EQ(cli::parseUint<unsigned>("--jobs", "4294967295"),
+              4294967295u);
+    EXPECT_EQ(cli::parseUint<std::uint16_t>("--port", "65535"), 65535u);
+}
+
+TEST(CliDeath, ParseUintRejectsSignsBlanksAndOverflow)
+{
+    for (const char *text : {"-1", "+1", " 1", "1 ", "", "0x10", "1e3"})
+        EXPECT_DEATH(cli::parseUint<unsigned>("--jobs", text),
+                     "bad value for --jobs")
+            << "'" << text << "'";
+    EXPECT_DEATH(cli::parseUint<unsigned>("--jobs", "4294967296"),
+                 "bad value for --jobs");
+    EXPECT_DEATH(cli::parseUint<unsigned>("--jobs", "99999999999"),
+                 "bad value for --jobs");
+    EXPECT_DEATH(cli::parseUint<std::uint16_t>("--port", "65536"),
+                 "bad value for --port");
+    EXPECT_DEATH(cli::parseUint<std::uint16_t>("--port", "70000"),
+                 "bad value for --port");
+    EXPECT_DEATH(cli::parseUint("--seed", "18446744073709551616"),
+                 "bad value for --seed");
+}
+
+TEST(Cli, ParseFractionTakesZeroToOne)
+{
+    EXPECT_EQ(cli::parseFraction("--f", "0"), 0.0);
+    EXPECT_EQ(cli::parseFraction("--f", "0.25"), 0.25);
+    EXPECT_EQ(cli::parseFraction("--f", "1"), 1.0);
+}
+
+TEST(CliDeath, ParseFractionRejectsNanAndOutOfRange)
+{
+    for (const char *text :
+         {"nan", "NaN", "-nan", "inf", "-0.5", "1.5", "", "0.5x"})
+        EXPECT_DEATH(cli::parseFraction("--structured-fraction", text),
+                     "bad value for --structured-fraction")
+            << "'" << text << "'";
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -23,6 +24,7 @@
 #include "obs/progress.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
+#include "uarch/core_stats.hh"
 
 namespace dvi
 {
@@ -81,6 +83,17 @@ struct Capture
         std::size_t n = 0;
         for (const Rec &r : events)
             n += r.kind == kind;
+        return n;
+    }
+
+    /** Number of `compile` phase spans begun. */
+    std::size_t
+    compileSpans() const
+    {
+        std::size_t n = 0;
+        for (const Rec &r : events)
+            n += r.kind == "phase-begin" &&
+                 r.payload.find("phase")->str() == "compile";
         return n;
     }
 };
@@ -282,6 +295,62 @@ TEST(Telemetry, ReportByteIdenticalWithTelemetryOn)
     // 1000 insts).
     EXPECT_GT(cap.count("core-sample"), 0u);
     EXPECT_EQ(cap.count("job-end"), campaign.size());
+    // Every sample carries insts, ipc and every CoreStats counter, so
+    // a counter added to DVI_CORE_STATS reaches telemetry unlisted.
+    for (const Capture::Rec &r : cap.events) {
+        if (r.kind != "core-sample")
+            continue;
+        const json::Value *insts = r.payload.find("insts");
+        ASSERT_NE(insts, nullptr);
+        EXPECT_TRUE(insts->isU64());
+        const json::Value *ipc = r.payload.find("ipc");
+        ASSERT_NE(ipc, nullptr);
+        EXPECT_TRUE(ipc->isF64());
+        uarch::CoreStats::forEachCounter([&](const char *name, auto) {
+            const json::Value *v = r.payload.find(name);
+            ASSERT_NE(v, nullptr) << name;
+            EXPECT_TRUE(v->isU64()) << name;
+        });
+    }
+}
+
+TEST(Telemetry, CompileSpansLandInTheCampaignSink)
+{
+    const driver::Campaign campaign = smallCampaign(1000);
+    std::set<std::pair<workload::BenchmarkId, comp::EdviPolicy>> binaries;
+    for (const driver::JobSpec &job : campaign.jobs())
+        binaries.emplace(job.scenario.workload,
+                         job.scenario.binary.edvi);
+
+    obs::TelemetrySink global;
+    Capture globalCap;
+    globalCap.attach(global);
+    obs::setGlobalSink(&global);
+
+    // A campaign with its own sink gets one compile span per binary
+    // there, whether it compiles into a campaign-local cache or into
+    // one campaigns share (dvi-serve's), and none on the global sink.
+    driver::ExecutableCache shared;
+    for (driver::ExecutableCache *cache :
+         {static_cast<driver::ExecutableCache *>(nullptr), &shared}) {
+        obs::TelemetrySink sink;
+        Capture cap;
+        cap.attach(sink);
+        driver::CampaignOptions copts;
+        copts.jobs = 2;
+        copts.telemetry = &sink;
+        copts.cache = cache;
+        campaign.run(copts);
+        EXPECT_EQ(cap.compileSpans(), binaries.size());
+    }
+    EXPECT_EQ(globalCap.compileSpans(), 0u);
+
+    // Without a campaign sink they fall back to the global one.
+    driver::CampaignOptions plain;
+    plain.jobs = 2;
+    campaign.run(plain);
+    obs::setGlobalSink(nullptr);
+    EXPECT_EQ(globalCap.compileSpans(), binaries.size());
 }
 
 TEST(Telemetry, ObserverSeesStructuredEvents)

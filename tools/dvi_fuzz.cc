@@ -24,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -85,19 +84,9 @@ usage(const char *argv0)
         argv0, argv0);
 }
 
+using cli::parseFraction;
 using cli::parseUint;
 using cli::readFile;
-
-double
-parseFraction(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    fatal_if(end == text || *end != '\0' || v < 0.0 || v > 1.0,
-             "bad value for ", flag, ": '", text,
-             "' (want 0..1)");
-    return v;
-}
 
 int
 doReplay(const std::string &path, const std::string &emit_path)
@@ -161,14 +150,13 @@ main(int argc, char **argv)
             cfg.seed = parseUint("--seed", value());
             seed_given = true;
         } else if (arg == "--programs") {
-            cfg.programs = static_cast<unsigned>(
-                parseUint("--programs", value()));
+            cfg.programs = parseUint<unsigned>("--programs", value());
         } else if (arg == "--max-insts") {
             cfg.oracle.maxProgInsts =
                 parseUint("--max-insts", value());
         } else if (arg == "--stack-depth") {
-            cfg.oracle.lvmStackDepth = static_cast<unsigned>(
-                parseUint("--stack-depth", value()));
+            cfg.oracle.lvmStackDepth =
+                parseUint<unsigned>("--stack-depth", value());
         } else if (arg == "--structured-fraction") {
             cfg.structuredFraction =
                 parseFraction("--structured-fraction", value());
@@ -190,9 +178,8 @@ main(int argc, char **argv)
                      "--inject-kill-bit wants ORDINAL:REG, got '",
                      kv, "'");
             cfg.oracle.fault.enabled = true;
-            cfg.oracle.fault.killOrdinal = static_cast<unsigned>(
-                parseUint("--inject-kill-bit",
-                          kv.substr(0, colon).c_str()));
+            cfg.oracle.fault.killOrdinal = parseUint<unsigned>(
+                "--inject-kill-bit", kv.substr(0, colon).c_str());
             const std::uint64_t reg = parseUint(
                 "--inject-kill-bit", kv.substr(colon + 1).c_str());
             fatal_if(reg == 0 || reg >= 32,
@@ -201,8 +188,8 @@ main(int argc, char **argv)
         } else if (arg == "--telemetry") {
             telemetry_path = value();
         } else if (arg == "--metrics-interval") {
-            metrics_interval = static_cast<unsigned>(
-                parseUint("--metrics-interval", value()));
+            metrics_interval =
+                parseUint<unsigned>("--metrics-interval", value());
         } else if (arg == "--progress") {
             progress = true;
         } else if (arg == "--replay") {

@@ -22,7 +22,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -84,6 +83,7 @@ usage(const char *argv0)
         argv0);
 }
 
+using cli::parseFraction;
 using cli::parseUint;
 using cli::readFile;
 
@@ -234,14 +234,8 @@ main(int argc, char **argv)
             seed = parseUint("--seed", value());
             seed_given = true;
         } else if (arg == "--structured-fraction") {
-            char *end = nullptr;
-            const char *text = value();
-            structured_fraction = std::strtod(text, &end);
-            fatal_if(end == text || *end != '\0' ||
-                         structured_fraction < 0.0 ||
-                         structured_fraction > 1.0,
-                     "bad value for --structured-fraction: '", text,
-                     "' (want 0..1)");
+            structured_fraction =
+                parseFraction("--structured-fraction", value());
         } else if (arg == "--advisory") {
             run.opts.advisory = true;
         } else if (arg == "--inject-kill-bit") {
@@ -252,9 +246,8 @@ main(int argc, char **argv)
                      "--inject-kill-bit wants ORDINAL:REG, got '",
                      kv, "'");
             run.fault.enabled = true;
-            run.fault.killOrdinal = static_cast<unsigned>(
-                parseUint("--inject-kill-bit",
-                          kv.substr(0, colon).c_str()));
+            run.fault.killOrdinal = parseUint<unsigned>(
+                "--inject-kill-bit", kv.substr(0, colon).c_str());
             const std::uint64_t reg = parseUint(
                 "--inject-kill-bit", kv.substr(colon + 1).c_str());
             fatal_if(reg == 0 || reg >= 32,

@@ -226,7 +226,7 @@ main(int argc, char **argv)
             overrides.push_back(
                 {kv.substr(0, eq), kv.substr(eq + 1)});
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(parseUint("--jobs", value()));
+            jobs = parseUint<unsigned>("--jobs", value());
             jobs_given = true;
         } else if (arg == "--max-insts") {
             max_insts = parseUint("--max-insts", value());
@@ -241,8 +241,8 @@ main(int argc, char **argv)
         } else if (arg == "--telemetry") {
             telemetry_path = value();
         } else if (arg == "--metrics-interval") {
-            metrics_interval = static_cast<unsigned>(
-                parseUint("--metrics-interval", value()));
+            metrics_interval =
+                parseUint<unsigned>("--metrics-interval", value());
         } else if (arg == "--progress") {
             progress = true;
         } else if (arg == "--chaos") {
@@ -250,8 +250,7 @@ main(int argc, char **argv)
             const std::string err = fail::configure(chaos_spec);
             fatal_if(!err.empty(), "--chaos: ", err);
         } else if (arg == "--retries") {
-            retries = static_cast<unsigned>(
-                parseUint("--retries", value()));
+            retries = parseUint<unsigned>("--retries", value());
             retries_given = true;
         } else if (arg == "--lint") {
             lint = true;
@@ -280,7 +279,8 @@ main(int argc, char **argv)
         fatal_if(!mode_filter.empty() || jobs_given ||
                      format != "json" || profile || quiet ||
                      !telemetry_path.empty() || metrics_interval ||
-                     progress,
+                     progress || lint || retries_given ||
+                     !chaos_spec.empty(),
                  "--emit-manifest only combines with --max-insts, "
                  "--set, and --out");
         sim::CampaignManifest m = driver::scenarioManifest(

@@ -18,11 +18,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 
@@ -77,8 +75,8 @@ usage(const char *argv0)
 }
 
 // Signal -> main-thread handoff: the handler only flips an atomic
-// and pokes no locks (async-signal-safety); the main thread sleeps
-// on a condition variable it re-checks on a short period.
+// and pokes no locks (async-signal-safety); the main thread polls it
+// every 100 ms.
 std::atomic<bool> g_shutdown{false};
 
 void
@@ -109,27 +107,25 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--port") {
-            opts.port = static_cast<std::uint16_t>(
-                cli::parseUint("--port", value()));
+            opts.port = cli::parseUint<std::uint16_t>("--port", value());
         } else if (arg == "--max-concurrent") {
-            opts.maxConcurrent = static_cast<unsigned>(
-                cli::parseUint("--max-concurrent", value()));
+            opts.maxConcurrent =
+                cli::parseUint<unsigned>("--max-concurrent", value());
             fatal_if(opts.maxConcurrent == 0,
                      "--max-concurrent must be at least 1");
         } else if (arg == "--max-queue") {
-            opts.maxQueue = static_cast<std::size_t>(
-                cli::parseUint("--max-queue", value()));
+            opts.maxQueue =
+                cli::parseUint<std::size_t>("--max-queue", value());
         } else if (arg == "--jobs") {
-            opts.workers = static_cast<unsigned>(
-                cli::parseUint("--jobs", value()));
+            opts.workers = cli::parseUint<unsigned>("--jobs", value());
         } else if (arg == "--telemetry") {
             telemetry_path = value();
         } else if (arg == "--io-timeout") {
-            opts.ioTimeoutSeconds = static_cast<unsigned>(
-                cli::parseUint("--io-timeout", value()));
+            opts.ioTimeoutSeconds =
+                cli::parseUint<unsigned>("--io-timeout", value());
         } else if (arg == "--retries") {
-            opts.retry.maxRetries = static_cast<unsigned>(
-                cli::parseUint("--retries", value()));
+            opts.retry.maxRetries =
+                cli::parseUint<unsigned>("--retries", value());
         } else if (arg == "--chaos") {
             const std::string err = fail::configure(value());
             fatal_if(!err.empty(), "--chaos: ", err);
