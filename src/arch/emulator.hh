@@ -249,8 +249,27 @@ class Emulator
     void checkLiveAt(RegIndex r, std::uint32_t at_pc);
     /** Effective address + misaligned-fault latch for a micro-op. */
     Addr xlateAddr(const MicroOp &u);
-    /** Fold a block's static stats delta into stats_. */
-    void applyBlockStats(const BlockStats &s);
+    /** Fold a block's static stats delta into stats_. Every block
+     * exit runs it, so it is forced inline: a whole-program (LTO)
+     * build stops inlining into execBlock once its growth budget is
+     * spent. */
+    [[gnu::always_inline]] void
+    applyBlockStats(const BlockStats &s)
+    {
+        stats_.insts += s.insts;
+        stats_.progInsts += s.progInsts;
+        stats_.kills += s.kills;
+        stats_.aluOps += s.aluOps;
+        stats_.memRefs += s.memRefs;
+        stats_.loads += s.loads;
+        stats_.stores += s.stores;
+        stats_.fpOps += s.fpOps;
+        stats_.saves += s.saves;
+        stats_.restores += s.restores;
+        stats_.condBranches += s.condBranches;
+        stats_.calls += s.calls;
+        stats_.returns += s.returns;
+    }
     /** Execute one translated block; returns instructions retired
      * (== b.len unless a misaligned fault halted mid-block). When
      * Trace, writes one TraceRecord per retired instruction. Live

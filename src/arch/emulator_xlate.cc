@@ -3,24 +3,32 @@
  * Tier-1 executor: runs the emulator from the basic-block
  * translation cache (arch/xlate.hh).
  *
- * The inner loop is threaded dispatch: on GCC/Clang each micro-op
- * handler ends in one indirect `goto *` through a label table
- * indexed by the pre-decoded opcode (no central switch, no
- * per-instruction re-decode); other compilers fall back to a dense
- * switch that jumps to the same handlers. Semantics are the
- * interpreter's, instruction for instruction — same stats, same
- * trace records, same LVM evolution, same dead-read diagnostics,
- * same fault behavior. Anywhere exactness is cheaper to prove than
- * to re-derive (instruction-budget gates, pc-outside-image panics),
- * this file simply falls back to the tier-0 step() loop, which *is*
- * the specification.
+ * The inner loop is threaded dispatch through GNU computed goto (GCC
+ * and Clang; no other compiler builds this file): a label table
+ * indexed by the pre-decoded opcode, no central switch, no
+ * per-instruction re-decode. Without a trace (run(), the oracle
+ * path) every handler ends in its own "advance; goto *tbl[op]", and
+ * its body makes no call on the hit path: memory accesses, the
+ * block-exit stats fold and invariant checks are inline, so the loop
+ * state stays in registers. The successor pc is set once per block,
+ * and a pragma keeps GCC from merging the dispatch copies back into
+ * one. With a trace (stepBatch(), the timing core's path) handlers
+ * share one epilogue that writes each micro-op's record.
+ *
+ * Semantics are the interpreter's, instruction for instruction —
+ * same stats, same trace records, same LVM evolution, same
+ * dead-read diagnostics, same fault behavior. Anywhere exactness is
+ * cheaper to prove than to re-derive (instruction-budget gates,
+ * pc-outside-image panics), this file simply falls back to the
+ * tier-0 step() loop, which *is* the specification.
  *
  * With liveness on, the LVM's bits stay in a local for the whole
  * block, and the dead-read probes are hoisted to one test at block
  * entry against the block's ProbeSummary (arch/xlate.hh). Only when
- * that test says some probe could fail does the block run the
- * interpreter's probes, micro-op by micro-op and in its order, so
- * the dead-read count and first-dead-read diagnostics stay exact.
+ * that test says some probe could fail does the block dispatch
+ * through a table that runs the interpreter's probes before each
+ * micro-op, in its order, so the dead-read count and
+ * first-dead-read diagnostics stay exact.
  */
 
 #include <algorithm>
@@ -71,38 +79,6 @@ Emulator::xlateAddr(const MicroOp &u)
     return a;
 }
 
-void
-Emulator::applyBlockStats(const BlockStats &s)
-{
-    stats_.insts += s.insts;
-    stats_.progInsts += s.progInsts;
-    stats_.kills += s.kills;
-    stats_.aluOps += s.aluOps;
-    stats_.memRefs += s.memRefs;
-    stats_.loads += s.loads;
-    stats_.stores += s.stores;
-    stats_.fpOps += s.fpOps;
-    stats_.saves += s.saves;
-    stats_.restores += s.restores;
-    stats_.condBranches += s.condBranches;
-    stats_.calls += s.calls;
-    stats_.returns += s.returns;
-}
-
-// Threaded dispatch: GNU computed goto when available, otherwise a
-// dense switch that jumps to the same handler labels.
-#if defined(__GNUC__) || defined(__clang__)
-#define DVI_XLATE_COMPUTED_GOTO 1
-#else
-#define DVI_XLATE_COMPUTED_GOTO 0
-#endif
-
-#if !DVI_XLATE_COMPUTED_GOTO
-#define DVI_DISPATCH_CASE(name)                                     \
-    case Opcode::name:                                              \
-        goto x_##name;
-#endif
-
 // Register write specialized on the Live template parameter: the
 // definition sets the destination's bit in the block's LVM local
 // (the member setIntReg re-tests opts.trackLiveness on every call).
@@ -116,39 +92,47 @@ Emulator::applyBlockStats(const BlockStats &s)
         }                                                           \
     } while (0)
 
+// End of a handler whose micro-op can be followed by another in its
+// block. Without a trace the handler advances and dispatches the
+// next micro-op itself, so each handler has its own indirect jump
+// (and its own branch-predictor history); the last micro-op of the
+// block goes to x_epilogue, the block exit. With a trace every
+// handler goes to x_epilogue, which writes the record and
+// dispatches. Control transfers and Halt end blocks, so their
+// handlers go straight to x_epilogue.
+#define DVI_XLATE_NEXT()                                            \
+    do {                                                            \
+        if constexpr (!Trace) {                                     \
+            if (++u != end)                                         \
+                goto *tbl[static_cast<unsigned>(u->op)];            \
+        }                                                           \
+        goto x_epilogue;                                            \
+    } while (0)
+
+// The same for memory micro-ops, the only ones that can latch a
+// misaligned fault (in xlateAddr), so the only ones that check it.
+#define DVI_XLATE_MEM_NEXT()                                        \
+    do {                                                            \
+        if (faulted_)                                               \
+            goto x_fault;                                           \
+        DVI_XLATE_NEXT();                                           \
+    } while (0)
+
+// GCC's cross-jumping pass would merge the handlers' identical
+// advance-and-dispatch tails back into a few shared indirect jumps.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("no-crossjumping")
+#endif
+
 template <bool Trace, bool Live>
 std::uint32_t
 Emulator::execBlock(const XBlock &b, TraceRecord *out)
 {
-    (void)out;
     constexpr bool live = Live;
     const MicroOp *const uops = b.uops.data();
-    const std::uint32_t len = b.len;
+    const MicroOp *const end = uops + b.len;
 
-    // Everything mutable lives ahead of the first label: handlers
-    // are entered by goto, which must not cross an initialization.
-    const MicroOp *u = nullptr;
-    std::uint32_t i = 0;
-    std::uint32_t u_next = 0;
-    Addr eff_addr = 0;
-    bool taken = false;
-
-    // With liveness on, the LVM's bits live here for the whole
-    // block. lvm_ is written back wherever code outside this loop
-    // reads it: block exit, the fault exit, each slow-path probe and
-    // Ret's LVM-Stack merge.
-    std::uint64_t lvm = live ? lvm_.mask().raw() : 0;
-    // One test per block. A probe can fail only if it reads a
-    // register that is dead at entry and untouched by the block
-    // before it, or follows an in-block kill or LVM restore
-    // (ProbeSummary); otherwise every probe passes and none runs.
-    bool probe = false;
-    if (live) {
-        const ProbeSummary &ps = b.probes[opts.honorEdvi];
-        probe = (ps.entryProbes.raw() & ~lvm) != 0 || ps.innerProbe;
-    }
-
-#if DVI_XLATE_COMPUTED_GOTO
     // Indexed by Opcode; order must match isa::Opcode exactly.
     static const void *const kDispatch[] = {
         &&x_Nop, &&x_Halt, &&x_Add, &&x_Sub, &&x_Mul, &&x_Div,
@@ -159,71 +143,70 @@ Emulator::execBlock(const XBlock &b, TraceRecord *out)
         &&x_Beq, &&x_Bne, &&x_Blt, &&x_Bge, &&x_Jump, &&x_Call,
         &&x_Ret, &&x_Kill, &&x_LvmSave, &&x_LvmLoad,
     };
+    // Every entry runs the micro-op's dead-read probes, then its
+    // handler: the table of a block whose entry test failed.
+    static const void *const kProbeFirst[] = {
+        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
+        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
+        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
+        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
+        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
+        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
+    };
     static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
                       static_cast<unsigned>(Opcode::NumOpcodes),
                   "dispatch table covers every opcode");
-#endif
+    static_assert(sizeof(kProbeFirst) == sizeof(kDispatch),
+                  "probe table covers every opcode");
 
-x_top:
-    u = uops + i;
-    u_next = u->pc + 1;
-    if constexpr (Trace) {
-        eff_addr = 0;
-        taken = false;
+    // Everything mutable lives ahead of the first label: handlers
+    // are entered by goto, which must not cross an initialization.
+    const MicroOp *u = uops;
+    // Without a trace only the last micro-op's successor is seen, so
+    // it is set once per block: the fall-through past the block,
+    // replaced by a taken control transfer, a halt or a fault. A
+    // trace records every micro-op's successor.
+    std::uint32_t u_next = Trace ? u->pc + 1 : b.entryPc + b.len;
+    Addr eff_addr = 0;
+    bool taken = false;
+    const auto record = [&] {
+        TraceRecord &tr = out[u - uops];
+        tr.inst = exe.code[u->pc];
+        tr.pc = u->pc;
+        tr.nextPc = u_next;
+        tr.effAddr = eff_addr;
+        tr.taken = taken;
+    };
+
+    // With liveness on, the LVM's bits live here for the whole
+    // block. lvm_ is written back wherever code outside this loop
+    // reads it: block exit, the fault exit, each slow-path probe and
+    // Ret's LVM-Stack merge.
+    std::uint64_t lvm = live ? lvm_.mask().raw() : 0;
+    // One test per block picks the dispatch table. A probe can fail
+    // only if it reads a register that is dead at entry and
+    // untouched by the block before it, or follows an in-block kill
+    // or LVM restore (ProbeSummary); otherwise every probe passes
+    // and none runs.
+    const void *const *tbl = kDispatch;
+    if (live) {
+        const ProbeSummary &ps = b.probes[opts.honorEdvi];
+        if ((ps.entryProbes.raw() & ~lvm) != 0 || ps.innerProbe)
+            tbl = kProbeFirst;
     }
-    if (live && probe && u->nChk) {
+    goto *tbl[static_cast<unsigned>(u->op)];
+
+x_probe:
+    if (live && u->nChk) {
         lvm_.restore(RegMask(lvm));
         checkLiveAt(u->chk0, u->pc);
         if (u->nChk > 1)
             checkLiveAt(u->chk1, u->pc);
     }
-#if DVI_XLATE_COMPUTED_GOTO
     goto *kDispatch[static_cast<unsigned>(u->op)];
-#else
-    switch (u->op) {
-        DVI_DISPATCH_CASE(Nop)
-        DVI_DISPATCH_CASE(Halt)
-        DVI_DISPATCH_CASE(Add)
-        DVI_DISPATCH_CASE(Sub)
-        DVI_DISPATCH_CASE(Mul)
-        DVI_DISPATCH_CASE(Div)
-        DVI_DISPATCH_CASE(And)
-        DVI_DISPATCH_CASE(Or)
-        DVI_DISPATCH_CASE(Xor)
-        DVI_DISPATCH_CASE(Slt)
-        DVI_DISPATCH_CASE(Sll)
-        DVI_DISPATCH_CASE(Srl)
-        DVI_DISPATCH_CASE(Addi)
-        DVI_DISPATCH_CASE(Andi)
-        DVI_DISPATCH_CASE(Ori)
-        DVI_DISPATCH_CASE(Xori)
-        DVI_DISPATCH_CASE(Slti)
-        DVI_DISPATCH_CASE(Lui)
-        DVI_DISPATCH_CASE(Load)
-        DVI_DISPATCH_CASE(Store)
-        DVI_DISPATCH_CASE(LiveLoad)
-        DVI_DISPATCH_CASE(LiveStore)
-        DVI_DISPATCH_CASE(Fadd)
-        DVI_DISPATCH_CASE(Fmul)
-        DVI_DISPATCH_CASE(Fload)
-        DVI_DISPATCH_CASE(Fstore)
-        DVI_DISPATCH_CASE(Beq)
-        DVI_DISPATCH_CASE(Bne)
-        DVI_DISPATCH_CASE(Blt)
-        DVI_DISPATCH_CASE(Bge)
-        DVI_DISPATCH_CASE(Jump)
-        DVI_DISPATCH_CASE(Call)
-        DVI_DISPATCH_CASE(Ret)
-        DVI_DISPATCH_CASE(Kill)
-        DVI_DISPATCH_CASE(LvmSave)
-        DVI_DISPATCH_CASE(LvmLoad)
-      default:
-        panic("xlate: unhandled opcode");
-    }
-#endif
 
 x_Nop:
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Halt:
     halted_ = true;
     u_next = u->pc;
@@ -231,72 +214,72 @@ x_Halt:
 
 x_Add:
     DVI_XLATE_SET_REG(u->rd, wrapAdd(intRegs[u->rs1], intRegs[u->rs2]));
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Sub:
     DVI_XLATE_SET_REG(u->rd, wrapSub(intRegs[u->rs1], intRegs[u->rs2]));
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Mul:
     DVI_XLATE_SET_REG(u->rd, wrapMul(intRegs[u->rs1], intRegs[u->rs2]));
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Div:
     DVI_XLATE_SET_REG(u->rd, wrapDiv(intRegs[u->rs1], intRegs[u->rs2]));
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_And:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] & intRegs[u->rs2]);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Or:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] | intRegs[u->rs2]);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Xor:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] ^ intRegs[u->rs2]);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Slt:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] < intRegs[u->rs2] ? 1 : 0);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Sll:
     DVI_XLATE_SET_REG(u->rd,
               static_cast<std::int64_t>(
                   static_cast<std::uint64_t>(intRegs[u->rs1])
                   << (static_cast<std::uint64_t>(intRegs[u->rs2]) &
                       63)));
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Srl:
     DVI_XLATE_SET_REG(u->rd,
               static_cast<std::int64_t>(
                   static_cast<std::uint64_t>(intRegs[u->rs1]) >>
                   (static_cast<std::uint64_t>(intRegs[u->rs2]) &
                    63)));
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 
 x_Addi:
     DVI_XLATE_SET_REG(u->rd, wrapAdd(intRegs[u->rs1], u->imm));
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Andi:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] & u->imm);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Ori:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] | u->imm);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Xori:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] ^ u->imm);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Slti:
     DVI_XLATE_SET_REG(u->rd, intRegs[u->rs1] < u->imm ? 1 : 0);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Lui:
     DVI_XLATE_SET_REG(u->rd, static_cast<std::int64_t>(
                          static_cast<std::int32_t>(u->imm) << 16));
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 
 x_Load:
     eff_addr = xlateAddr(*u);
     DVI_XLATE_SET_REG(u->rd, faulted_ ? 0 : mem.read(eff_addr));
-    goto x_mem_epilogue;
+    DVI_XLATE_MEM_NEXT();
 x_Store:
     eff_addr = xlateAddr(*u);
     if (!faulted_)
         mem.write(eff_addr, intRegs[u->rs2]);
-    goto x_mem_epilogue;
+    DVI_XLATE_MEM_NEXT();
 
 x_LiveLoad:
     // Restore-elimination oracle: dead per the LVM snapshot taken
@@ -305,7 +288,7 @@ x_LiveLoad:
         ++stats_.restoreElimOracle;
     eff_addr = xlateAddr(*u);
     DVI_XLATE_SET_REG(u->rd, faulted_ ? 0 : mem.read(eff_addr));
-    goto x_mem_epilogue;
+    DVI_XLATE_MEM_NEXT();
 x_LiveStore:
     // Save-elimination oracle; the data register itself is exempt
     // from the dead-read probe (it is not in the chk list).
@@ -314,27 +297,27 @@ x_LiveStore:
     eff_addr = xlateAddr(*u);
     if (!faulted_)
         mem.write(eff_addr, intRegs[u->rs2]);
-    goto x_mem_epilogue;
+    DVI_XLATE_MEM_NEXT();
 
 x_Fadd:
     fpRegs[u->rd] = fpRegs[u->rs1] + fpRegs[u->rs2];
     fpLive_.set(u->rd);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Fmul:
     fpRegs[u->rd] = fpRegs[u->rs1] * fpRegs[u->rs2];
     fpLive_.set(u->rd);
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 x_Fload:
     eff_addr = xlateAddr(*u);
     fpRegs[u->rd] =
         bitCast<double>(faulted_ ? 0 : mem.read(eff_addr));
     fpLive_.set(u->rd);
-    goto x_mem_epilogue;
+    DVI_XLATE_MEM_NEXT();
 x_Fstore:
     eff_addr = xlateAddr(*u);
     if (!faulted_)
         mem.write(eff_addr, bitCast<std::int64_t>(fpRegs[u->rs2]));
-    goto x_mem_epilogue;
+    DVI_XLATE_MEM_NEXT();
 
 x_Beq:
     taken = intRegs[u->rs1] == intRegs[u->rs2];
@@ -374,7 +357,7 @@ x_Call:
     goto x_epilogue;
 
 x_Ret:
-    // The ra dead-read probe already ran in the prologue (chk0).
+    // The ra dead-read probe already ran in x_probe (chk0).
     if (callDepth > 0)
         --callDepth;
     u_next = static_cast<std::uint32_t>(intRegs[isa::regRa]);
@@ -393,14 +376,14 @@ x_Kill:
     // The pre-baked E-DVI kill mask, straight off the micro-op.
     if (live && opts.honorEdvi)
         lvm &= ~std::uint64_t{static_cast<std::uint32_t>(u->imm)};
-    goto x_epilogue;
+    DVI_XLATE_NEXT();
 
 x_LvmSave:
     eff_addr = xlateAddr(*u);
     if (!faulted_)
         mem.write(eff_addr, static_cast<std::int64_t>(
                                 live ? lvm : lvm_.mask().raw()));
-    goto x_mem_epilogue;
+    DVI_XLATE_MEM_NEXT();
 x_LvmLoad:
     eff_addr = xlateAddr(*u);
     // Mirrors the interpreter: a faulted refill restores an all-dead
@@ -411,53 +394,44 @@ x_LvmLoad:
     else
         lvm_.restore(RegMask(static_cast<std::uint64_t>(
             faulted_ ? 0 : mem.read(eff_addr))));
-    goto x_mem_epilogue;
+    DVI_XLATE_MEM_NEXT();
 
-    // Only memory micro-ops can latch faulted_ (via xlateAddr), so
-    // only they pay the check; everything else jumps straight to
-    // x_epilogue.
-x_mem_epilogue:
-    if (faulted_) {
-        // Halt at the faulting instruction; counters cover exactly
-        // the executed prefix (the faulting op included, as in the
-        // interpreter, where stats are bumped before execution).
-        halted_ = true;
-        u_next = u->pc;
-        if (live)
-            lvm_.restore(RegMask(lvm));
-        applyBlockStats(blockPrefixStats(b, i + 1));
-        if constexpr (Trace) {
-            TraceRecord &tr = out[i];
-            tr.inst = exe.code[u->pc];
-            tr.pc = u->pc;
-            tr.nextPc = u_next;
-            tr.effAddr = eff_addr;
-            tr.taken = taken;
-        }
-        pc_ = u_next;
-        return i + 1;
-    }
-    // fall through
+x_fault: {
+    // Halt at the faulting instruction; counters cover exactly the
+    // executed prefix (the faulting op included, as in the
+    // interpreter, where stats are bumped before execution).
+    const auto done = static_cast<std::uint32_t>(u - uops) + 1;
+    halted_ = true;
+    u_next = u->pc;
+    if (live)
+        lvm_.restore(RegMask(lvm));
+    applyBlockStats(blockPrefixStats(b, done));
+    if constexpr (Trace)
+        record();
+    pc_ = u_next;
+    return done;
+}
+
 x_epilogue:
     if constexpr (Trace) {
-        TraceRecord &tr = out[i];
-        tr.inst = exe.code[u->pc];
-        tr.pc = u->pc;
-        tr.nextPc = u_next;
-        tr.effAddr = eff_addr;
-        tr.taken = taken;
+        record();
+        if (++u != end) {
+            u_next = u->pc + 1;
+            eff_addr = 0;
+            taken = false;
+            goto *tbl[static_cast<unsigned>(u->op)];
+        }
     }
-    if (++i < len)
-        goto x_top;
-
     if (live)
         lvm_.restore(RegMask(lvm));
     applyBlockStats(b.stat);
     pc_ = u_next;
-    return len;
+    return b.len;
 }
 
 #undef DVI_XLATE_SET_REG
+#undef DVI_XLATE_NEXT
+#undef DVI_XLATE_MEM_NEXT
 
 template std::uint32_t
 Emulator::execBlock<false, false>(const XBlock &b, TraceRecord *out);
@@ -467,6 +441,10 @@ template std::uint32_t
 Emulator::execBlock<true, false>(const XBlock &b, TraceRecord *out);
 template std::uint32_t
 Emulator::execBlock<true, true>(const XBlock &b, TraceRecord *out);
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
 
 std::uint64_t
 Emulator::runXlate(std::uint64_t max_insts)

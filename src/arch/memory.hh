@@ -7,15 +7,17 @@
  * accesses). Unwritten locations read as zero, which the workload
  * generators rely on for zero-initialized global arrays.
  *
- * Storage is paged rather than per-word: 512-word (4 KB) pages in a
- * hash map, fronted by a one-entry last-page cache. Emulated
- * accesses have strong spatial locality (stack frames, the global
- * window), so the common case is a shift, a compare, and an indexed
- * array access; the per-word hash lookup this replaced was the
- * single largest shared cost in the functional emulator's inner
- * loop on both execution tiers. Pages never move once allocated
- * (unique_ptr targets), which is what keeps the cached pointer
- * valid.
+ * Storage is paged: 512-word (4 KB) pages in a hash map, fronted by
+ * a 16-set direct-mapped page table indexed by the low bits of the
+ * page number. Emulated programs touch few pages (stack frames, the
+ * global window; no fig05, fig09 or fig12 run held more than 9), so
+ * nearly every access hits: one tag compare and one indexed load or
+ * store (a single last-page entry would miss on a third of all
+ * accesses, since stack and global pages alternate). `read` and
+ * `write` are forced inline so both emulator tiers carry the hit
+ * path in their dispatch loops; the map lookup and page allocation
+ * of a miss stay out of line. Pages never move once allocated
+ * (unique_ptr targets), which keeps the table's pointers valid.
  */
 
 #ifndef DVI_ARCH_MEMORY_HH
@@ -40,97 +42,78 @@ class Memory
     static constexpr unsigned pageShift = 9; ///< 512 words = 4 KB
     static constexpr std::uint64_t pageWords = std::uint64_t(1) << pageShift;
     static constexpr std::uint64_t pageMask = pageWords - 1;
+    static constexpr std::uint64_t numSets = 16;
 
     struct Page
     {
         std::array<std::int64_t, pageWords> data{};
-        /** One bit per written word, for touchedWords accounting
-         * and forEach enumeration. */
-        std::array<std::uint64_t, pageWords / 64> written{};
+    };
+
+    /** One page-table set. Page numbers are below 2^52, so the
+     * initial tag never matches and an empty set needs no valid
+     * bit. */
+    struct Set
+    {
+        std::uint64_t tag = ~std::uint64_t(0);
+        Page *page = nullptr;
     };
 
   public:
-    std::int64_t
+    [[gnu::always_inline]] std::int64_t
     read(Addr addr) const
     {
         panic_if(addr % 8 != 0, "unaligned read at ", addr);
         const std::uint64_t w = addr >> 3;
-        const Page *p = findPage(w >> pageShift);
-        return p ? p->data[w & pageMask] : 0;
+        const std::uint64_t idx = w >> pageShift;
+        const Set &s = sets[idx % numSets];
+        if (s.tag == idx)
+            return s.page->data[w & pageMask];
+        return readMiss(idx, w & pageMask);
     }
 
-    void
+    [[gnu::always_inline]] void
     write(Addr addr, std::int64_t value)
     {
         panic_if(addr % 8 != 0, "unaligned write at ", addr);
         const std::uint64_t w = addr >> 3;
-        Page &p = ensurePage(w >> pageShift);
-        const std::uint64_t slot = w & pageMask;
-        std::uint64_t &bits = p.written[slot >> 6];
-        const std::uint64_t bit = std::uint64_t(1) << (slot & 63);
-        touched += !(bits & bit);
-        bits |= bit;
-        p.data[slot] = value;
-    }
-
-    /** Distinct words ever written. */
-    std::size_t touchedWords() const { return touched; }
-
-    /** Iterate (wordAddr, value) pairs of written words; unordered
-     * across pages. */
-    template <typename F>
-    void
-    forEach(F &&f) const
-    {
-        for (const auto &[idx, page] : pages) {
-            for (std::uint64_t g = 0; g < pageWords / 64; ++g) {
-                std::uint64_t bits = page->written[g];
-                while (bits) {
-                    const auto b =
-                        static_cast<unsigned>(__builtin_ctzll(bits));
-                    bits &= bits - 1;
-                    const std::uint64_t slot = g * 64 + b;
-                    f(((idx << pageShift) + slot) << 3,
-                      page->data[slot]);
-                }
-            }
-        }
+        const std::uint64_t idx = w >> pageShift;
+        const Set &s = sets[idx % numSets];
+        if (s.tag == idx)
+            s.page->data[w & pageMask] = value;
+        else
+            writeMiss(idx, w & pageMask, value);
     }
 
   private:
-    const Page *
-    findPage(std::uint64_t idx) const
+    /** A read whose page is not in the table: zero when the page was
+     * never written (and nothing is allocated), else the word, with
+     * the page installed in its set. */
+    [[gnu::noinline]] std::int64_t
+    readMiss(std::uint64_t idx, std::uint64_t slot) const
     {
-        if (lastPage && lastIdx == idx)
-            return lastPage;
         const auto it = pages.find(idx);
         if (it == pages.end())
-            return nullptr;
-        lastIdx = idx;
-        lastPage = it->second.get();
-        return lastPage;
+            return 0;
+        sets[idx % numSets] = Set{idx, it->second.get()};
+        return it->second->data[slot];
     }
 
-    Page &
-    ensurePage(std::uint64_t idx)
+    /** A write whose page is not in the table: allocate the page on
+     * first touch, install it in its set, store. */
+    [[gnu::noinline]] void
+    writeMiss(std::uint64_t idx, std::uint64_t slot, std::int64_t value)
     {
-        if (lastPage && lastIdx == idx)
-            return *lastPage;
-        std::unique_ptr<Page> &slot = pages[idx];
-        if (!slot)
-            slot = std::make_unique<Page>();
-        lastIdx = idx;
-        lastPage = slot.get();
-        return *lastPage;
+        std::unique_ptr<Page> &page = pages[idx];
+        if (!page)
+            page = std::make_unique<Page>();
+        sets[idx % numSets] = Set{idx, page.get()};
+        page->data[slot] = value;
     }
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages;
-    std::size_t touched = 0;
 
-    /** Last page accessed; pages are never deallocated or moved, so
-     * the cached pointer stays valid for the Memory's lifetime. */
-    mutable std::uint64_t lastIdx = 0;
-    mutable Page *lastPage = nullptr;
+    /** Direct-mapped front of `pages`; a cache, so `read` may fill it. */
+    mutable std::array<Set, numSets> sets{};
 };
 
 } // namespace arch

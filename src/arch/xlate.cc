@@ -248,12 +248,8 @@ TranslatedProgram::matches(const comp::Executable &exe) const
 }
 
 const XBlock &
-TranslatedProgram::getOrTranslate(std::uint32_t pc)
+TranslatedProgram::translate(std::uint32_t pc)
 {
-    panic_if(pc >= code_.size(),
-             "getOrTranslate: pc ", pc, " outside code image");
-    if (const XBlock *b = blockAt(pc))
-        return *b;
     std::lock_guard<std::mutex> lk(mu_);
     // Double-check under the lock: another emulator may have
     // published this leader while we waited.

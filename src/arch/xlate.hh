@@ -34,6 +34,7 @@
 #include <mutex>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/reg_mask.hh"
 #include "base/types.hh"
 #include "compiler/executable.hh"
@@ -195,8 +196,17 @@ class TranslatedProgram
     }
 
     /** The block led by `pc`, translating and publishing on first
-     * use. `pc` must be inside the code image. */
-    const XBlock &getOrTranslate(std::uint32_t pc);
+     * use. `pc` must be inside the code image. The hit path is
+     * inline: executors call this once per block. */
+    const XBlock &
+    getOrTranslate(std::uint32_t pc)
+    {
+        panic_if(pc >= code_.size(),
+                 "getOrTranslate: pc ", pc, " outside code image");
+        if (const XBlock *b = blockAt(pc))
+            return *b;
+        return translate(pc);
+    }
 
     /** Number of distinct blocks translated so far. */
     std::size_t blockCount() const;
@@ -205,6 +215,10 @@ class TranslatedProgram
     static std::uint64_t hashCode(const comp::Executable &exe);
 
   private:
+    /** Miss path of getOrTranslate: translate and publish under the
+     * mutex. */
+    const XBlock &translate(std::uint32_t pc);
+
     const std::vector<isa::Instruction> code_;
     const int entry_;
     const std::uint64_t hash_;

@@ -69,7 +69,7 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    writeWhole(stdout, "info: ", msg);
+    writeWhole(stderr, "info: ", msg);
     if (LogHook hook = g_log_hook.load(std::memory_order_acquire))
         hook("info", msg);
 }

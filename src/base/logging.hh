@@ -9,6 +9,9 @@
  * warn()   — something is suspicious but the simulation continues.
  * inform() — plain status output.
  *
+ * All four write to stderr, so a tool's stdout carries only its
+ * results (dvi-serve's ready line, rendered tables, JSON).
+ *
  * warn() and inform() are thread-safe: each message (prefix, text,
  * newline) is composed into one buffer and written with a single
  * stdio call, so messages from parallel campaign workers never
@@ -43,6 +46,18 @@ composeMessage(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
+
+/** Compose and report a panic. Cold and never inlined, so a
+ * panic_if leaves only its compare and one call in the caller's
+ * code, and a small hot function that checks an invariant still
+ * inlines. Arguments are taken by value: string literals decay to
+ * pointers, so panics of one shape share one instantiation. */
+template <typename... Args>
+[[noreturn, gnu::cold, gnu::noinline]] void
+panicAt(const char *file, int line, Args... args)
+{
+    panicImpl(file, line, composeMessage(args...));
+}
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
@@ -61,8 +76,7 @@ using LogHook = void (*)(const char *level, const std::string &msg);
 void setLogHook(LogHook hook);
 
 #define panic(...)                                                         \
-    ::dvi::detail::panicImpl(__FILE__, __LINE__,                           \
-                             ::dvi::detail::composeMessage(__VA_ARGS__))
+    ::dvi::detail::panicAt(__FILE__, __LINE__, __VA_ARGS__)
 
 #define fatal(...)                                                         \
     ::dvi::detail::fatalImpl(__FILE__, __LINE__,                           \

@@ -44,7 +44,10 @@ class RegMask
         return RegMask((1ull << n) - 1);
     }
 
-    void
+    /** Forced inline: the emulator's FP-write handlers call it, and a
+     * whole-program (LTO) build stops inlining into large functions
+     * once its growth budget is spent. */
+    [[gnu::always_inline]] void
     set(RegIndex r)
     {
         panic_if(r >= 64, "RegMask::set(", int(r), ") out of range");

@@ -242,13 +242,15 @@ def serve():
 def serve_session(server):
     """Drive a starting dvi-serve through the checks, then stop it
     with SIGINT."""
-    # Besides the ready line, dvi-serve writes only a few info lines
-    # to stdout, too few to fill the unread pipe.
-    for line in server.stdout:
-        if line.startswith("dvi-serve: ready on port "):
-            break
-    else:
+    # Scripts read the port from the first stdout line, so it must be
+    # the ready line; status lines (info:, warn:) go to stderr. Nothing
+    # follows it on stdout, so leaving the pipe unread cannot fill it.
+    line = server.stdout.readline()
+    if not line:
         raise CheckFailed("dvi-serve exited before it was ready")
+    if not line.startswith("dvi-serve: ready on port "):
+        raise CheckFailed(f"dvi-serve's first stdout line is not its "
+                          f"ready line: {line!r}")
     conn = dict(host="127.0.0.1", port=int(line.split()[-1]),
                 timeout=60.0)
 

@@ -112,7 +112,53 @@ TEST(Emulator, MemoryRoundTrip)
     EXPECT_EQ(mem.read(0x1000), 0);  // unwritten reads as zero
     mem.write(0x1000, -42);
     EXPECT_EQ(mem.read(0x1000), -42);
-    EXPECT_EQ(mem.touchedWords(), 1u);
+}
+
+/** First byte of 4 KB page `idx`; Memory's page table has 16 sets,
+ * indexed by the page number's low four bits. */
+constexpr Addr
+pageAddr(std::uint64_t idx)
+{
+    return idx * 4096;
+}
+
+TEST(Memory, PagesSharingASetKeepTheirOwnWords)
+{
+    // Pages 3 and 19 share a set, so alternating between them
+    // misses every time; each access must still reach its own page.
+    Memory mem;
+    for (int k = 0; k < 4; ++k) {
+        mem.write(pageAddr(3) + 8 * k, 100 + k);
+        mem.write(pageAddr(19) + 8 * k, 200 + k);
+        EXPECT_EQ(mem.read(pageAddr(3) + 8 * k), 100 + k);
+    }
+    for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(mem.read(pageAddr(19) + 8 * k), 200 + k);
+        EXPECT_EQ(mem.read(pageAddr(3) + 8 * k), 100 + k);
+    }
+}
+
+TEST(Memory, HoldsMorePagesThanThePageTableHasSets)
+{
+    Memory mem;
+    constexpr int pages = 40;
+    for (int p = 0; p < pages; ++p)
+        mem.write(pageAddr(p) + 8, -p - 1);
+    for (int p = pages - 1; p >= 0; --p) {
+        EXPECT_EQ(mem.read(pageAddr(p) + 8), -p - 1) << "page " << p;
+        EXPECT_EQ(mem.read(pageAddr(p)), 0) << "page " << p;
+    }
+}
+
+TEST(Memory, NeverWrittenPageReadsZero)
+{
+    Memory mem;
+    mem.write(pageAddr(5), 9);
+    // Page 21 shares page 5's set; reading it allocates nothing and
+    // leaves page 5 in place.
+    EXPECT_EQ(mem.read(pageAddr(21)), 0);
+    EXPECT_EQ(mem.read(pageAddr(0x7ffff) + 8), 0);
+    EXPECT_EQ(mem.read(pageAddr(5)), 9);
 }
 
 TEST(MemoryDeath, UnalignedAccessPanics)

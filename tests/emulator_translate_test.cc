@@ -481,7 +481,7 @@ TEST(XlateTier, MisalignedFaultMidBlockMatchesInterpreter)
     // itself is suppressed.
     EXPECT_EQ(emu.stats().insts, 4u);
     EXPECT_EQ(emu.stats().stores, 1u);
-    EXPECT_EQ(emu.memory().touchedWords(), 0u);
+    EXPECT_EQ(emu.memory().read(0x1000), 0);
 }
 
 TEST(XlateTier, MisalignedFaultedLoadReadsZero)
@@ -501,6 +501,56 @@ TEST(XlateTier, MisalignedFaultedLoadReadsZero)
     emu.run();
     EXPECT_TRUE(emu.faulted());
     EXPECT_EQ(emu.intReg(8), 0);
+}
+
+// ------------------------------------------------- memory pages
+
+TEST(XlateTier, OneBlockAcrossMorePagesThanPageTableSets)
+{
+    // One block stores to the 18 pages 16..33 (4 KB each), so pages
+    // 16 and 32, and 17 and 33, share a set of Memory's 16-set page
+    // table; it then loads the sharing pairs back interleaved, a
+    // never-stored word of a stored page and a never-stored page.
+    constexpr std::int32_t page = 4096;
+    std::vector<Instruction> code;
+    code.push_back(Instruction::aluImm(Opcode::Addi, 8, 0, 1));
+    for (std::int32_t p = 16; p < 34; ++p) {
+        code.push_back(Instruction::store(8, 0, p * page));
+        code.push_back(Instruction::aluImm(Opcode::Addi, 8, 8, 1));
+    }
+    code.push_back(Instruction::load(10, 0, 16 * page));
+    code.push_back(Instruction::load(11, 0, 32 * page));
+    code.push_back(Instruction::load(12, 0, 17 * page));
+    code.push_back(Instruction::load(13, 0, 33 * page));
+    code.push_back(Instruction::load(14, 0, 16 * page));
+    code.push_back(Instruction::alu(Opcode::Add, 15, 10, 11));
+    code.push_back(Instruction::store(15, 0, 32 * page + 8));
+    code.push_back(Instruction::load(16, 0, 16 * page + 8));
+    code.push_back(Instruction::load(17, 0, 32 * page + 8));
+    code.push_back(Instruction::load(18, 0, 40 * page));
+    code.push_back(Instruction::halt());
+    const comp::Executable exe = assemble(code);
+    ASSERT_EQ(translateBlock(exe.code, 0).len, exe.code.size());
+
+    for (bool live : {false, true}) {
+        SCOPED_TRACE(live ? "liveness on" : "liveness off");
+        EmulatorOptions opts;
+        opts.trackLiveness = live;
+        expectTierParity(exe, opts);
+
+        opts.tier = ExecTier::Xlate;
+        Emulator emu(exe, opts);
+        emu.run();
+        EXPECT_EQ(emu.intReg(10), 1);   // page 16
+        EXPECT_EQ(emu.intReg(11), 17);  // page 32
+        EXPECT_EQ(emu.intReg(12), 2);   // page 17
+        EXPECT_EQ(emu.intReg(13), 18);  // page 33
+        EXPECT_EQ(emu.intReg(14), 1);   // page 16 again
+        EXPECT_EQ(emu.intReg(16), 0);
+        EXPECT_EQ(emu.intReg(17), 18);
+        EXPECT_EQ(emu.intReg(18), 0);
+        EXPECT_EQ(emu.stats().deadReads, 0u);
+    }
 }
 
 // ------------------------------------------ dead-read diagnostics
