@@ -44,8 +44,6 @@ namespace dvi
 namespace arch
 {
 
-using isa::Opcode;
-
 void
 Emulator::ensureXlate()
 {
@@ -133,31 +131,20 @@ Emulator::execBlock(const XBlock &b, TraceRecord *out)
     const MicroOp *const uops = b.uops.data();
     const MicroOp *const end = uops + b.len;
 
-    // Indexed by Opcode; order must match isa::Opcode exactly.
+    // Both tables expand from the opcode table, indexed by Opcode, so
+    // an opcode without a handler label fails to compile.
+#define DVI_XLATE_HANDLER(name, ...) &&x_##name,
+#define DVI_XLATE_PROBE(name, ...) &&x_probe,
     static const void *const kDispatch[] = {
-        &&x_Nop, &&x_Halt, &&x_Add, &&x_Sub, &&x_Mul, &&x_Div,
-        &&x_And, &&x_Or, &&x_Xor, &&x_Slt, &&x_Sll, &&x_Srl,
-        &&x_Addi, &&x_Andi, &&x_Ori, &&x_Xori, &&x_Slti, &&x_Lui,
-        &&x_Load, &&x_Store, &&x_LiveLoad, &&x_LiveStore,
-        &&x_Fadd, &&x_Fmul, &&x_Fload, &&x_Fstore,
-        &&x_Beq, &&x_Bne, &&x_Blt, &&x_Bge, &&x_Jump, &&x_Call,
-        &&x_Ret, &&x_Kill, &&x_LvmSave, &&x_LvmLoad,
+        DVI_OPCODES(DVI_XLATE_HANDLER)
     };
     // Every entry runs the micro-op's dead-read probes, then its
     // handler: the table of a block whose entry test failed.
     static const void *const kProbeFirst[] = {
-        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
-        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
-        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
-        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
-        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
-        &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe, &&x_probe,
+        DVI_OPCODES(DVI_XLATE_PROBE)
     };
-    static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                      static_cast<unsigned>(Opcode::NumOpcodes),
-                  "dispatch table covers every opcode");
-    static_assert(sizeof(kProbeFirst) == sizeof(kDispatch),
-                  "probe table covers every opcode");
+#undef DVI_XLATE_HANDLER
+#undef DVI_XLATE_PROBE
 
     // Everything mutable lives ahead of the first label: handlers
     // are entered by goto, which must not cross an initialization.

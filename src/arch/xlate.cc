@@ -17,92 +17,27 @@ using isa::Opcode;
 namespace
 {
 
-/** Fold one opcode into a block's static stats delta, mirroring the
- * per-step increments in Emulator::step() exactly. */
+/** Fold one opcode into a block's static stats delta: each mix
+ * counter is one opcode-table class query. Emulator::step() bumps
+ * the same counters by hand, so tier lockstep checks this fold. */
 void
 accumulate(BlockStats &s, Opcode op)
 {
+    const Instruction inst{op};
+    const isa::FuClass fu = inst.fuClass();
     ++s.insts;
-    if (op == Opcode::Kill)
-        ++s.kills;
-    else
-        ++s.progInsts;
-
-    switch (op) {
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Slt:
-      case Opcode::Sll:
-      case Opcode::Srl:
-      case Opcode::Addi:
-      case Opcode::Andi:
-      case Opcode::Ori:
-      case Opcode::Xori:
-      case Opcode::Slti:
-      case Opcode::Lui:
-        ++s.aluOps;
-        break;
-      case Opcode::Load:
-        ++s.memRefs;
-        ++s.loads;
-        break;
-      case Opcode::Store:
-        ++s.memRefs;
-        ++s.stores;
-        break;
-      case Opcode::LiveLoad:
-        ++s.memRefs;
-        ++s.loads;
-        ++s.restores;
-        break;
-      case Opcode::LiveStore:
-        ++s.memRefs;
-        ++s.stores;
-        ++s.saves;
-        break;
-      case Opcode::Fadd:
-      case Opcode::Fmul:
-        ++s.fpOps;
-        break;
-      case Opcode::Fload:
-        ++s.memRefs;
-        ++s.loads;
-        ++s.fpOps;
-        break;
-      case Opcode::Fstore:
-        ++s.memRefs;
-        ++s.stores;
-        ++s.fpOps;
-        break;
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-        ++s.condBranches;
-        break;
-      case Opcode::Call:
-        ++s.calls;
-        break;
-      case Opcode::Ret:
-        ++s.returns;
-        break;
-      case Opcode::LvmSave:
-        ++s.memRefs;
-        ++s.stores;
-        break;
-      case Opcode::LvmLoad:
-        ++s.memRefs;
-        ++s.loads;
-        break;
-      default:
-        // Nop, Halt, Jump, Kill: mix counters untouched.
-        break;
-    }
+    s.progInsts += !inst.isKill();
+    s.kills += inst.isKill();
+    s.aluOps += fu == isa::FuClass::IntAlu || fu == isa::FuClass::IntMulDiv;
+    s.memRefs += inst.isMem();
+    s.loads += inst.isLoad();
+    s.stores += inst.isStore();
+    s.fpOps += inst.isFp();
+    s.saves += inst.isSave();
+    s.restores += inst.isRestore();
+    s.condBranches += inst.isCondBranch();
+    s.calls += inst.isCall();
+    s.returns += inst.isReturn();
 }
 
 /** Builds one ProbeSummary, one micro-op at a time in block order. */

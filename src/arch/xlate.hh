@@ -8,7 +8,10 @@
  * operands, effective-address recipes, E-DVI kill masks, and the
  * dead-read probe list pre-baked — plus a precomputed static stats
  * delta, and the emulator then executes from the cache with a
- * threaded-dispatch inner loop (emulator_xlate.cc).
+ * threaded-dispatch inner loop (emulator_xlate.cc). The probe list
+ * and the stats delta come from the opcode table
+ * (isa/instruction.hh); tier 0 derives the same facts by hand, so
+ * tier lockstep checks the table.
  *
  * Each block also carries a ProbeSummary per E-DVI setting: which
  * registers its dead-read probes read at their block-entry liveness,

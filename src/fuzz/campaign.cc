@@ -16,21 +16,18 @@ namespace dvi
 namespace fuzz
 {
 
-namespace
-{
-
 prog::Module
 generateOne(const FuzzConfig &cfg, std::uint64_t index,
             bool *structured)
 {
     Rng rng(mixSeed(cfg.seed, index));
-    *structured = rng.chance(cfg.structuredFraction);
-    if (*structured)
+    const bool paper_shaped = rng.chance(cfg.structuredFraction);
+    if (structured)
+        *structured = paper_shaped;
+    if (paper_shaped)
         return workload::generate(workload::randomParams(rng));
     return generateProgram(randomProgramParams(rng));
 }
-
-} // namespace
 
 bool
 isRealFailureText(const std::string &failure)

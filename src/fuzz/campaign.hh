@@ -76,6 +76,16 @@ struct FuzzResult
 };
 
 /**
+ * Program `index` of the corpus `cfg` describes: a seeded draw (from
+ * cfg.seed and the index) picks the structured workload generator
+ * with probability cfg.structuredFraction, else the unstructured one.
+ * runFuzzCampaign runs programs 0..programs-1, and `dvi-lint --fuzz`
+ * lints the same ones. `structured`, when given, reports the pick.
+ */
+prog::Module generateOne(const FuzzConfig &cfg, std::uint64_t index,
+                         bool *structured = nullptr);
+
+/**
  * Classify an oracle failure string: degenerate classes (invalid
  * module, ill-formed program, inapplicable fault) mean the
  * *candidate* is broken, not the DVI contract. Empty = no failure.

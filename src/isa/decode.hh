@@ -1,7 +1,8 @@
 /**
  * @file
  * Decode-once helpers for the translation tier (arch/xlate) and the
- * timing core's per-pc decode table (DecodedInst).
+ * timing core's per-pc decode table (DecodedInst), both read from
+ * the opcode table (isa/instruction.hh).
  *
  * The basic-block translator pre-resolves, per instruction, the
  * facts the interpreter re-derives on every dynamic visit. The most
@@ -9,12 +10,16 @@
  * firstDeadReadPc/Reg diagnostics depend on exactly which register
  * is checked first, so the list baked into a micro-op must replicate
  * the interpreter's checkRead call sequence instruction for
- * instruction (tests/emulator_translate_test.cc locks this down, and
- * the fuzz oracle's tier-lockstep layer diffs it dynamically).
+ * instruction. The interpreter keeps its own hand-written checkRead
+ * calls, so the two are independent: tests/emulator_translate_test.cc
+ * and tests/isa_test.cc pin the list, and the fuzz oracle's
+ * tier-lockstep layer diffs it dynamically.
  */
 
 #ifndef DVI_ISA_DECODE_HH
 #define DVI_ISA_DECODE_HH
+
+#include <utility>
 
 #include "isa/instruction.hh"
 #include "isa/registers.hh"
@@ -27,72 +32,38 @@ namespace isa
 /**
  * Integer registers the emulator's dead-read detector probes for
  * this instruction, in the exact order arch::Emulator::step() issues
- * its checkRead calls; returns the count (0-2). The hard-wired zero
- * is excluded here (checkRead ignores it), so a translated block
- * never probes r0 at run time. Note the asymmetries this preserves:
+ * its checkRead calls; returns the count (0-2). These are the
+ * integer sources (Instruction::srcIntRegs) minus the hard-wired
+ * zero (checkRead ignores it, so a translated block never probes r0
+ * at run time), with three asymmetries written out:
  *
- *  - Store probes the data register (rs2) before the base (rs1),
- *    because step() checks the stored value ahead of the address
- *    computation;
- *  - LiveStore probes only the base: the data register of a callee
- *    save is deliberately exempt (saving a dead value is exactly
- *    what the hardware squashes — §5.1);
- *  - a register read twice (e.g. `add r1, r5, r5`) is probed twice,
- *    matching the interpreter's dead-read count.
+ *  - a plain store probes the data register (rs2) before the base
+ *    (rs1), because step() checks the stored value ahead of the
+ *    address computation;
+ *  - a save (LiveStore) probes only the base: the data register of a
+ *    callee save is deliberately exempt (saving a dead value is
+ *    exactly what the hardware squashes — §5.1);
+ *  - Ret probes ra, the register it jumps through, whatever rs1
+ *    names.
+ *
+ * A register read twice (e.g. `add r1, r5, r5`) is probed twice,
+ * matching the interpreter's dead-read count.
  */
 inline unsigned
 deadCheckRegs(const Instruction &inst, RegIndex out[2])
 {
+    RegIndex srcs[2];
+    unsigned n_srcs = inst.srcIntRegs(srcs);
+    if (inst.isSave())
+        n_srcs = 1;
+    else if (inst.info().format == OperandFormat::Store)
+        std::swap(srcs[0], srcs[1]);
+    else if (inst.isReturn())
+        srcs[0] = regRa;
     unsigned n = 0;
-    const auto add = [&](RegIndex r) {
-        if (r != regZero)
-            out[n++] = r;
-    };
-    switch (inst.op) {
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Slt:
-      case Opcode::Sll:
-      case Opcode::Srl:
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-        add(inst.rs1);
-        add(inst.rs2);
-        break;
-      case Opcode::Addi:
-      case Opcode::Andi:
-      case Opcode::Ori:
-      case Opcode::Xori:
-      case Opcode::Slti:
-        add(inst.rs1);
-        break;
-      case Opcode::Store:
-        add(inst.rs2);  // data first — see above
-        add(inst.rs1);  // then the base, inside addr_of
-        break;
-      case Opcode::Load:
-      case Opcode::LiveLoad:
-      case Opcode::LiveStore:
-      case Opcode::Fload:
-      case Opcode::Fstore:
-      case Opcode::LvmSave:
-      case Opcode::LvmLoad:
-        add(inst.rs1);  // base address only
-        break;
-      case Opcode::Ret:
-        add(regRa);
-        break;
-      default:
-        // Nop, Halt, Lui, Fadd, Fmul, Jump, Call, Kill: no integer
-        // reads subject to the dead-read check.
-        break;
+    for (unsigned k = 0; k < n_srcs; ++k) {
+        if (srcs[k] != regZero)
+            out[n++] = srcs[k];
     }
     return n;
 }
@@ -110,27 +81,14 @@ endsBlock(const Instruction &inst)
  * Everything the timing core asks of one static instruction, decoded
  * once per binary (arch::TranslatedProgram owns the per-pc table) so
  * that fetch, dispatch, issue and commit read one 16-byte entry
- * instead of re-deriving classes through opcode switches for every
- * dynamic instance. Each field is the value of the named Instruction
- * query; fields a class does not use are zero.
+ * instead of re-deriving classes for every dynamic instance. The
+ * flags are the opcode table's class bits (OpClass); each other
+ * field is the value of the named Instruction query, and fields a
+ * class does not use are zero.
  */
-struct DecodedInst
+struct DecodedInst : OpClass
 {
-    /** @name Class flags @{ */
-    static constexpr std::uint16_t kill = 1u << 0;
-    static constexpr std::uint16_t condBranch = 1u << 1;
-    static constexpr std::uint16_t call = 1u << 2;
-    static constexpr std::uint16_t ret = 1u << 3;
-    static constexpr std::uint16_t jump = 1u << 4;
-    static constexpr std::uint16_t load = 1u << 5;
-    static constexpr std::uint16_t store = 1u << 6;
-    static constexpr std::uint16_t save = 1u << 7;
-    static constexpr std::uint16_t restore = 1u << 8;
-    static constexpr std::uint16_t writesInt = 1u << 9;
-    static constexpr std::uint16_t writesFp = 1u << 10;
-    /** @} */
-
-    std::uint16_t flags = 0;
+    std::uint16_t flags = 0;     ///< OpClass bits
     FuClass fu = FuClass::None;
     std::uint8_t latency = 0;
     std::uint8_t numSrcs = 0;    ///< srcIntRegs() count
@@ -150,24 +108,11 @@ static_assert(sizeof(DecodedInst) == 16, "DecodedInst packs to 16 bytes");
 inline DecodedInst
 decodeInst(const Instruction &inst)
 {
+    const OpInfo &info = inst.info();
     DecodedInst d;
-    const auto flag = [&d](bool on, std::uint16_t f) {
-        if (on)
-            d.flags |= f;
-    };
-    flag(inst.isKill(), DecodedInst::kill);
-    flag(inst.isCondBranch(), DecodedInst::condBranch);
-    flag(inst.isCall(), DecodedInst::call);
-    flag(inst.isReturn(), DecodedInst::ret);
-    flag(inst.op == Opcode::Jump, DecodedInst::jump);
-    flag(inst.isLoad(), DecodedInst::load);
-    flag(inst.isStore(), DecodedInst::store);
-    flag(inst.isSave(), DecodedInst::save);
-    flag(inst.isRestore(), DecodedInst::restore);
-    flag(inst.writesIntReg(), DecodedInst::writesInt);
-    flag(inst.writesFpReg(), DecodedInst::writesFp);
-    d.fu = inst.fuClass();
-    d.latency = static_cast<std::uint8_t>(inst.execLatency());
+    d.flags = info.flags;
+    d.fu = info.fu;
+    d.latency = info.latency;
     d.numSrcs = static_cast<std::uint8_t>(inst.srcIntRegs(d.srcs));
     d.numFpSrcs = static_cast<std::uint8_t>(inst.srcFpRegs(d.fpSrcs));
     d.dest = inst.rd;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Instruction::toString — the disassembler.
+ * Instruction::toString — the disassembler. The mnemonic is the
+ * opcode table's; the operands print by operand format.
  */
 
 #include <sstream>
@@ -13,126 +14,52 @@ namespace dvi
 namespace isa
 {
 
-namespace
-{
-
-const char *
-mnemonic(Opcode op)
-{
-    switch (op) {
-      case Opcode::Nop: return "nop";
-      case Opcode::Halt: return "halt";
-      case Opcode::Add: return "add";
-      case Opcode::Sub: return "sub";
-      case Opcode::Mul: return "mul";
-      case Opcode::Div: return "div";
-      case Opcode::And: return "and";
-      case Opcode::Or: return "or";
-      case Opcode::Xor: return "xor";
-      case Opcode::Slt: return "slt";
-      case Opcode::Sll: return "sll";
-      case Opcode::Srl: return "srl";
-      case Opcode::Addi: return "addi";
-      case Opcode::Andi: return "andi";
-      case Opcode::Ori: return "ori";
-      case Opcode::Xori: return "xori";
-      case Opcode::Slti: return "slti";
-      case Opcode::Lui: return "lui";
-      case Opcode::Load: return "ld";
-      case Opcode::Store: return "st";
-      case Opcode::LiveLoad: return "live-ld";
-      case Opcode::LiveStore: return "live-st";
-      case Opcode::Fadd: return "fadd";
-      case Opcode::Fmul: return "fmul";
-      case Opcode::Fload: return "fld";
-      case Opcode::Fstore: return "fst";
-      case Opcode::Beq: return "beq";
-      case Opcode::Bne: return "bne";
-      case Opcode::Blt: return "blt";
-      case Opcode::Bge: return "bge";
-      case Opcode::Jump: return "j";
-      case Opcode::Call: return "call";
-      case Opcode::Ret: return "ret";
-      case Opcode::Kill: return "kill";
-      case Opcode::LvmSave: return "lvm-save";
-      case Opcode::LvmLoad: return "lvm-load";
-      default: return "???";
-    }
-}
-
-} // namespace
-
 std::string
 Instruction::toString() const
 {
     std::ostringstream os;
-    os << mnemonic(op);
+    os << info().mnemonic;
     auto r = [](RegIndex x) { return intRegName(x); };
     auto f = [](RegIndex x) { return fpRegName(x); };
-    switch (op) {
-      case Opcode::Nop:
-      case Opcode::Halt:
-      case Opcode::Ret:
+    switch (info().format) {
+      case OperandFormat::None:
+      case OperandFormat::Ret:
         break;
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Slt:
-      case Opcode::Sll:
-      case Opcode::Srl:
+      case OperandFormat::RegRegReg:
         os << " " << r(rd) << ", " << r(rs1) << ", " << r(rs2);
         break;
-      case Opcode::Addi:
-      case Opcode::Andi:
-      case Opcode::Ori:
-      case Opcode::Xori:
-      case Opcode::Slti:
+      case OperandFormat::RegRegImm:
         os << " " << r(rd) << ", " << r(rs1) << ", " << imm;
         break;
-      case Opcode::Lui:
+      case OperandFormat::RegImm:
         os << " " << r(rd) << ", " << imm;
         break;
-      case Opcode::Load:
-      case Opcode::LiveLoad:
+      case OperandFormat::Load:
         os << " " << r(rd) << ", " << imm << "(" << r(rs1) << ")";
         break;
-      case Opcode::Store:
-      case Opcode::LiveStore:
+      case OperandFormat::Store:
         os << " " << r(rs2) << ", " << imm << "(" << r(rs1) << ")";
         break;
-      case Opcode::Fadd:
-      case Opcode::Fmul:
+      case OperandFormat::FpRegRegReg:
         os << " " << f(rd) << ", " << f(rs1) << ", " << f(rs2);
         break;
-      case Opcode::Fload:
+      case OperandFormat::FpLoad:
         os << " " << f(rd) << ", " << imm << "(" << r(rs1) << ")";
         break;
-      case Opcode::Fstore:
+      case OperandFormat::FpStore:
         os << " " << f(rs2) << ", " << imm << "(" << r(rs1) << ")";
         break;
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
+      case OperandFormat::Branch:
         os << " " << r(rs1) << ", " << r(rs2) << ", @" << imm;
         break;
-      case Opcode::Jump:
-      case Opcode::Call:
+      case OperandFormat::Target:
         os << " @" << imm;
         break;
-      case Opcode::Kill:
+      case OperandFormat::Mask:
         os << " " << killMask().toString();
         break;
-      case Opcode::LvmSave:
-      case Opcode::LvmLoad:
+      case OperandFormat::BaseDisp:
         os << " " << imm << "(" << r(rs1) << ")";
-        break;
-      default:
-        os << " <bad>";
         break;
     }
     return os.str();

@@ -21,17 +21,13 @@ Instruction::halt()
 Instruction
 Instruction::alu(Opcode op, RegIndex rd, RegIndex rs1, RegIndex rs2)
 {
-    panic_if(op != Opcode::Add && op != Opcode::Sub &&
-                 op != Opcode::Mul && op != Opcode::Div &&
-                 op != Opcode::And && op != Opcode::Or &&
-                 op != Opcode::Xor && op != Opcode::Slt &&
-                 op != Opcode::Sll && op != Opcode::Srl,
-             "alu() with non reg-reg opcode");
     Instruction i;
     i.op = op;
     i.rd = rd;
     i.rs1 = rs1;
     i.rs2 = rs2;
+    panic_if(i.info().format != OperandFormat::RegRegReg,
+             "alu() with non reg-reg opcode");
     return i;
 }
 
@@ -39,15 +35,13 @@ Instruction
 Instruction::aluImm(Opcode op, RegIndex rd, RegIndex rs1,
                     std::int32_t imm)
 {
-    panic_if(op != Opcode::Addi && op != Opcode::Andi &&
-                 op != Opcode::Ori && op != Opcode::Xori &&
-                 op != Opcode::Slti,
-             "aluImm() with non reg-imm opcode");
     Instruction i;
     i.op = op;
     i.rd = rd;
     i.rs1 = rs1;
     i.imm = imm;
+    panic_if(i.info().format != OperandFormat::RegRegImm,
+             "aluImm() with non reg-imm opcode");
     return i;
 }
 
@@ -144,14 +138,12 @@ Instruction
 Instruction::branch(Opcode op, RegIndex rs1, RegIndex rs2,
                     std::int32_t target)
 {
-    panic_if(op != Opcode::Beq && op != Opcode::Bne &&
-                 op != Opcode::Blt && op != Opcode::Bge,
-             "branch() with non-branch opcode");
     Instruction i;
     i.op = op;
     i.rs1 = rs1;
     i.rs2 = rs2;
     i.imm = target;
+    panic_if(!i.isCondBranch(), "branch() with non-branch opcode");
     return i;
 }
 

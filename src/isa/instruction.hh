@@ -1,6 +1,6 @@
 /**
  * @file
- * Instruction definition for the simulated ISA.
+ * Instruction definition and opcode table for the simulated ISA.
  *
  * The ISA is a load/store RISC machine extended with the paper's DVI
  * instructions:
@@ -13,6 +13,15 @@
  *  - @c lvm-save / @c lvm-load — spill/refill the Live Value Mask to
  *                         the thread control block across context
  *                         switches (§6.1).
+ *
+ * Every opcode's facts are declared once, in the opcode table
+ * (DVI_OPCODES): mnemonic, operand format, functional unit, latency
+ * and class flags. The classification and operand queries, the
+ * disassembler, the decode helpers (isa/decode.hh), the translator
+ * and the translation tier's dispatch tables read or expand it. Two
+ * hand-written copies stay on purpose, as independent references
+ * that check it: the tier-0 interpreter (arch::Emulator::step) and
+ * the lint prover's def/use sets (analysis/machine_checks.cc).
  *
  * Branch and call targets are stored as absolute instruction indices
  * (the linker resolves labels). The architectural encoding is 4 bytes
@@ -34,51 +43,67 @@ namespace dvi
 namespace isa
 {
 
-/** Every operation the ISA defines. */
+/**
+ * The opcode table: one row per opcode, in Opcode order,
+ *
+ *   X(name, mnemonic, format, fu, latency, flags)
+ *
+ * giving its operand format (OperandFormat: which fields it reads and
+ * how it prints), its functional-unit class and latency in cycles,
+ * and its class flags (OpClass bits).
+ */
+#define DVI_OPCODES(X)                                                       \
+    X(Nop,       "nop",      None,        None,      1,  0)                  \
+    X(Halt,      "halt",     None,        None,      1,  0)                  \
+    /* Integer ALU, register-register. */                                    \
+    X(Add,       "add",      RegRegReg,   IntAlu,    1,  writesInt)          \
+    X(Sub,       "sub",      RegRegReg,   IntAlu,    1,  writesInt)          \
+    X(Mul,       "mul",      RegRegReg,   IntMulDiv, 3,  writesInt)          \
+    X(Div,       "div",      RegRegReg,   IntMulDiv, 12, writesInt)          \
+    X(And,       "and",      RegRegReg,   IntAlu,    1,  writesInt)          \
+    X(Or,        "or",       RegRegReg,   IntAlu,    1,  writesInt)          \
+    X(Xor,       "xor",      RegRegReg,   IntAlu,    1,  writesInt)          \
+    X(Slt,       "slt",      RegRegReg,   IntAlu,    1,  writesInt)          \
+    X(Sll,       "sll",      RegRegReg,   IntAlu,    1,  writesInt)          \
+    X(Srl,       "srl",      RegRegReg,   IntAlu,    1,  writesInt)          \
+    /* Integer ALU, register-immediate. */                                   \
+    X(Addi,      "addi",     RegRegImm,   IntAlu,    1,  writesInt)          \
+    X(Andi,      "andi",     RegRegImm,   IntAlu,    1,  writesInt)          \
+    X(Ori,       "ori",      RegRegImm,   IntAlu,    1,  writesInt)          \
+    X(Xori,      "xori",     RegRegImm,   IntAlu,    1,  writesInt)          \
+    X(Slti,      "slti",     RegRegImm,   IntAlu,    1,  writesInt)          \
+    X(Lui,       "lui",      RegImm,      IntAlu,    1,  writesInt)          \
+    /* Memory: live-ld / live-st are the restore / save (§5.1). */           \
+    X(Load,      "ld",       Load,        MemPort,   1,  load | writesInt)   \
+    X(Store,     "st",       Store,       MemPort,   1,  store)              \
+    X(LiveLoad,  "live-ld",  Load,        MemPort,   1,                      \
+      load | restore | writesInt)                                            \
+    X(LiveStore, "live-st",  Store,       MemPort,   1,  store | save)       \
+    /* Floating point: enough for FP-liveness experiments. */                \
+    X(Fadd,      "fadd",     FpRegRegReg, FpAlu,     2,  fp | writesFp)      \
+    X(Fmul,      "fmul",     FpRegRegReg, FpMulDiv,  4,  fp | writesFp)      \
+    X(Fload,     "fld",      FpLoad,      MemPort,   1,                      \
+      load | fp | writesFp)                                                  \
+    X(Fstore,    "fst",      FpStore,     MemPort,   1,  store | fp)         \
+    /* Control. */                                                           \
+    X(Beq,       "beq",      Branch,      Branch,    1,  condBranch)         \
+    X(Bne,       "bne",      Branch,      Branch,    1,  condBranch)         \
+    X(Blt,       "blt",      Branch,      Branch,    1,  condBranch)         \
+    X(Bge,       "bge",      Branch,      Branch,    1,  condBranch)         \
+    X(Jump,      "j",        Target,      Branch,    1,  jump)               \
+    X(Call,      "call",     Target,      Branch,    1,  call | writesInt)   \
+    X(Ret,       "ret",      Ret,         Branch,    1,  ret)                \
+    /* DVI ISA extensions: E-DVI (§2), LVM spill and refill (§6.1). */       \
+    X(Kill,      "kill",     Mask,        None,      1,  kill)               \
+    X(LvmSave,   "lvm-save", BaseDisp,    MemPort,   1,  store)              \
+    X(LvmLoad,   "lvm-load", BaseDisp,    MemPort,   1,  load)
+
+/** Every operation the ISA defines: the opcode table's names. */
 enum class Opcode : std::uint8_t
 {
-    Nop,
-    Halt,
-    // Integer ALU, register-register.
-    Add,
-    Sub,
-    Mul,
-    Div,
-    And,
-    Or,
-    Xor,
-    Slt,
-    Sll,
-    Srl,
-    // Integer ALU, register-immediate.
-    Addi,
-    Andi,
-    Ori,
-    Xori,
-    Slti,
-    Lui,
-    // Memory.
-    Load,
-    Store,
-    LiveLoad,
-    LiveStore,
-    // Floating point (minimal: enough for FP-liveness experiments).
-    Fadd,
-    Fmul,
-    Fload,
-    Fstore,
-    // Control.
-    Beq,
-    Bne,
-    Blt,
-    Bge,
-    Jump,
-    Call,
-    Ret,
-    // DVI ISA extensions.
-    Kill,
-    LvmSave,
-    LvmLoad,
+#define DVI_OPCODE_ENUM(name, ...) name,
+    DVI_OPCODES(DVI_OPCODE_ENUM)
+#undef DVI_OPCODE_ENUM
     NumOpcodes,
 };
 
@@ -93,6 +118,70 @@ enum class FuClass : std::uint8_t
     MemPort,  ///< loads/stores (cache access handled separately)
     Branch,   ///< resolved on an integer ALU
 };
+
+/** Which Instruction fields an opcode reads, and how it prints
+ * (rd, rs1, rs2 name FP registers where the format says so). */
+enum class OperandFormat : std::uint8_t
+{
+    None,         ///< nothing
+    RegRegReg,    ///< `add rd, rs1, rs2`
+    RegRegImm,    ///< `addi rd, rs1, imm`
+    RegImm,       ///< `lui rd, imm`
+    Load,         ///< `ld rd, imm(rs1)`
+    Store,        ///< `st rs2, imm(rs1)`: rs2 is the data
+    FpRegRegReg,  ///< `fadd fd, fs1, fs2`
+    FpLoad,       ///< `fld fd, imm(rs1)`
+    FpStore,      ///< `fst fs2, imm(rs1)`: FP data, integer base
+    Branch,       ///< `beq rs1, rs2, @imm`
+    Target,       ///< `j @imm`
+    Ret,          ///< `ret`: reads ra through rs1
+    Mask,         ///< `kill {...}`: imm is the register mask
+    BaseDisp,     ///< `lvm-save imm(rs1)`
+};
+
+/** Class flags: the opcode classes Instruction's queries test, one
+ * bit each. DecodedInst::flags holds the same bits. */
+struct OpClass
+{
+    static constexpr std::uint16_t kill = 1u << 0;
+    static constexpr std::uint16_t condBranch = 1u << 1;
+    static constexpr std::uint16_t call = 1u << 2;
+    static constexpr std::uint16_t ret = 1u << 3;
+    static constexpr std::uint16_t jump = 1u << 4;
+    static constexpr std::uint16_t load = 1u << 5;
+    static constexpr std::uint16_t store = 1u << 6;
+    static constexpr std::uint16_t save = 1u << 7;
+    static constexpr std::uint16_t restore = 1u << 8;
+    static constexpr std::uint16_t writesInt = 1u << 9;
+    static constexpr std::uint16_t writesFp = 1u << 10;
+    static constexpr std::uint16_t fp = 1u << 11;
+};
+
+/** One row of the opcode table. */
+struct OpInfo : OpClass
+{
+    const char *mnemonic;
+    OperandFormat format;
+    FuClass fu;
+    std::uint8_t latency;  ///< cycles on its functional unit
+    std::uint16_t flags;   ///< OpClass bits
+
+    /** DVI_OPCODES expanded, indexed by Opcode. */
+    static const OpInfo table[];
+};
+
+// Defined out of the class so that the rows' flag names resolve as
+// OpInfo's (inherited OpClass) members; each row's leading {} is that
+// empty base.
+inline constexpr OpInfo OpInfo::table[] = {
+#define DVI_OPCODE_INFO(name, mnemonic, format, fu, latency, flags)   \
+    {{}, mnemonic, OperandFormat::format, FuClass::fu, latency, flags},
+    DVI_OPCODES(DVI_OPCODE_INFO)
+#undef DVI_OPCODE_INFO
+};
+static_assert(sizeof(OpInfo::table) / sizeof(OpInfo::table[0]) ==
+                  static_cast<unsigned>(Opcode::NumOpcodes),
+              "one opcode-table row per opcode");
 
 /**
  * A decoded instruction. One struct serves the compiler's emitted
@@ -145,32 +234,37 @@ struct Instruction
     static Instruction lvmLoad(RegIndex base, std::int32_t disp);
     /** @} */
 
+    /** This opcode's row of the opcode table. */
+    const OpInfo &
+    info() const
+    {
+        return OpInfo::table[static_cast<unsigned>(op)];
+    }
+
+    /** True if the opcode is in any of the OpClass classes `cls`. */
+    bool is(std::uint16_t cls) const { return (info().flags & cls) != 0; }
+
     /** @name Classification queries @{ */
     bool isNop() const { return op == Opcode::Nop; }
     bool isHalt() const { return op == Opcode::Halt; }
-    bool isCondBranch() const;
-    bool isCall() const { return op == Opcode::Call; }
-    bool isReturn() const { return op == Opcode::Ret; }
+    bool isCondBranch() const { return is(OpClass::condBranch); }
+    bool isCall() const { return is(OpClass::call); }
+    bool isReturn() const { return is(OpClass::ret); }
     bool
     isControl() const
     {
-        return isCondBranch() || isCall() || isReturn() ||
-               op == Opcode::Jump;
+        return is(OpClass::condBranch | OpClass::call | OpClass::ret |
+                  OpClass::jump);
     }
-    bool isLoad() const;
-    bool isStore() const;
-    bool isMem() const { return isLoad() || isStore(); }
-    bool isKill() const { return op == Opcode::Kill; }
+    bool isLoad() const { return is(OpClass::load); }
+    bool isStore() const { return is(OpClass::store); }
+    bool isMem() const { return is(OpClass::load | OpClass::store); }
+    bool isKill() const { return is(OpClass::kill); }
     /** A live-store: a callee-register save candidate (§5.1). */
-    bool isSave() const { return op == Opcode::LiveStore; }
+    bool isSave() const { return is(OpClass::save); }
     /** A live-load: a callee-register restore candidate (§5.1). */
-    bool isRestore() const { return op == Opcode::LiveLoad; }
-    bool
-    isFp() const
-    {
-        return op == Opcode::Fadd || op == Opcode::Fmul ||
-               op == Opcode::Fload || op == Opcode::Fstore;
-    }
+    bool isRestore() const { return is(OpClass::restore); }
+    bool isFp() const { return is(OpClass::fp); }
     /** @} */
 
     /** Kill mask for E-DVI instructions. */
@@ -181,18 +275,18 @@ struct Instruction
     }
 
     /** True if this writes an integer architectural register. */
-    bool writesIntReg() const;
+    bool writesIntReg() const { return is(OpClass::writesInt); }
 
     /** Integer destination register, valid when writesIntReg(). */
     RegIndex destIntReg() const { return rd; }
 
     /** True if this writes a floating-point register. */
-    bool writesFpReg() const;
+    bool writesFpReg() const { return is(OpClass::writesFp); }
 
     /**
-     * Collect integer source registers into out[]; returns the count
-     * (0–2). Does not report the hard-wired zero filtering; callers
-     * that care can skip r0.
+     * Collect integer source registers into out[], in operand order
+     * (rs1, then rs2); returns the count (0–2). Does not report the
+     * hard-wired zero filtering; callers that care can skip r0.
      */
     unsigned srcIntRegs(RegIndex out[2]) const;
 
@@ -206,10 +300,10 @@ struct Instruction
     RegIndex saveRestoreReg() const;
 
     /** Functional unit class used at execute. */
-    FuClass fuClass() const;
+    FuClass fuClass() const { return info().fu; }
 
     /** Execution latency on its functional unit, in cycles. */
-    unsigned execLatency() const;
+    unsigned execLatency() const { return info().latency; }
 
     /** Architectural size: every instruction encodes in 4 bytes. */
     static constexpr unsigned sizeBytes = 4;
@@ -230,107 +324,26 @@ struct Instruction
     }
 };
 
-// Hot classification queries, inline: the timing core and the
-// emulator call these for every dynamic instruction.
-
-inline bool
-Instruction::isCondBranch() const
-{
-    return op == Opcode::Beq || op == Opcode::Bne ||
-           op == Opcode::Blt || op == Opcode::Bge;
-}
-
-inline bool
-Instruction::isLoad() const
-{
-    return op == Opcode::Load || op == Opcode::LiveLoad ||
-           op == Opcode::Fload || op == Opcode::LvmLoad;
-}
-
-inline bool
-Instruction::isStore() const
-{
-    return op == Opcode::Store || op == Opcode::LiveStore ||
-           op == Opcode::Fstore || op == Opcode::LvmSave;
-}
-
-inline bool
-Instruction::writesIntReg() const
-{
-    switch (op) {
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Slt:
-      case Opcode::Sll:
-      case Opcode::Srl:
-      case Opcode::Addi:
-      case Opcode::Andi:
-      case Opcode::Ori:
-      case Opcode::Xori:
-      case Opcode::Slti:
-      case Opcode::Lui:
-      case Opcode::Load:
-      case Opcode::LiveLoad:
-      case Opcode::Call:
-        return true;
-      default:
-        return false;
-    }
-}
-
-inline bool
-Instruction::writesFpReg() const
-{
-    return op == Opcode::Fadd || op == Opcode::Fmul ||
-           op == Opcode::Fload;
-}
+// Operand queries, inline: the compiler's liveness and the decode
+// helpers call them per static instruction.
 
 inline unsigned
 Instruction::srcIntRegs(RegIndex out[2]) const
 {
-    switch (op) {
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Slt:
-      case Opcode::Sll:
-      case Opcode::Srl:
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
+    switch (info().format) {
+      case OperandFormat::RegRegReg:
+      case OperandFormat::Store:
+      case OperandFormat::Branch:
         out[0] = rs1;
         out[1] = rs2;
         return 2;
-      case Opcode::Addi:
-      case Opcode::Andi:
-      case Opcode::Ori:
-      case Opcode::Xori:
-      case Opcode::Slti:
-      case Opcode::Load:
-      case Opcode::LiveLoad:
-      case Opcode::Fload:
-      case Opcode::Ret:
-      case Opcode::LvmSave:
-      case Opcode::LvmLoad:
+      case OperandFormat::RegRegImm:
+      case OperandFormat::Load:
+      case OperandFormat::FpLoad:
+      case OperandFormat::FpStore:  // base address only; data is FP
+      case OperandFormat::Ret:
+      case OperandFormat::BaseDisp:
         out[0] = rs1;
-        return 1;
-      case Opcode::Store:
-      case Opcode::LiveStore:
-        out[0] = rs1;
-        out[1] = rs2;
-        return 2;
-      case Opcode::Fstore:
-        out[0] = rs1; // base address only; data is FP
         return 1;
       default:
         return 0;
@@ -340,13 +353,12 @@ Instruction::srcIntRegs(RegIndex out[2]) const
 inline unsigned
 Instruction::srcFpRegs(RegIndex out[2]) const
 {
-    switch (op) {
-      case Opcode::Fadd:
-      case Opcode::Fmul:
+    switch (info().format) {
+      case OperandFormat::FpRegRegReg:
         out[0] = rs1;
         out[1] = rs2;
         return 2;
-      case Opcode::Fstore:
+      case OperandFormat::FpStore:
         out[0] = rs2;
         return 1;
       default:
@@ -357,65 +369,11 @@ Instruction::srcFpRegs(RegIndex out[2]) const
 inline RegIndex
 Instruction::saveRestoreReg() const
 {
-    if (op == Opcode::LiveStore)
+    if (isSave())
         return rs2;
-    if (op == Opcode::LiveLoad)
+    if (isRestore())
         return rd;
     panic("saveRestoreReg() on non save/restore instruction");
-}
-
-inline FuClass
-Instruction::fuClass() const
-{
-    switch (op) {
-      case Opcode::Nop:
-      case Opcode::Halt:
-      case Opcode::Kill:
-        return FuClass::None;
-      case Opcode::Mul:
-      case Opcode::Div:
-        return FuClass::IntMulDiv;
-      case Opcode::Fadd:
-        return FuClass::FpAlu;
-      case Opcode::Fmul:
-        return FuClass::FpMulDiv;
-      case Opcode::Load:
-      case Opcode::Store:
-      case Opcode::LiveLoad:
-      case Opcode::LiveStore:
-      case Opcode::Fload:
-      case Opcode::Fstore:
-      case Opcode::LvmSave:
-      case Opcode::LvmLoad:
-        return FuClass::MemPort;
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Jump:
-      case Opcode::Call:
-      case Opcode::Ret:
-        return FuClass::Branch;
-      default:
-        return FuClass::IntAlu;
-    }
-}
-
-inline unsigned
-Instruction::execLatency() const
-{
-    switch (op) {
-      case Opcode::Mul:
-        return 3;
-      case Opcode::Div:
-        return 12;
-      case Opcode::Fadd:
-        return 2;
-      case Opcode::Fmul:
-        return 4;
-      default:
-        return 1;
-    }
 }
 
 } // namespace isa

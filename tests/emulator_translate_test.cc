@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/emulator.hh"
@@ -114,6 +117,100 @@ TEST(TranslateBlock, StraightLineEndsAtHaltInclusive)
     EXPECT_EQ(b.stat.insts, 3u);
     EXPECT_EQ(b.stat.progInsts, 3u);
     EXPECT_EQ(b.stat.aluOps, 2u);
+}
+
+/** Every opcode's BlockStats delta written out literally: the
+ * counters a one-instruction block of {op, rd=3, rs1=4, rs2=5,
+ * imm=0xf0} sets, each to 1, in BlockStats member order. */
+const std::pair<Opcode, const char *> kBlockStatsRows[] = {
+    {Opcode::Nop, "insts progInsts"},
+    {Opcode::Halt, "insts progInsts"},
+    {Opcode::Add, "insts progInsts aluOps"},
+    {Opcode::Sub, "insts progInsts aluOps"},
+    {Opcode::Mul, "insts progInsts aluOps"},
+    {Opcode::Div, "insts progInsts aluOps"},
+    {Opcode::And, "insts progInsts aluOps"},
+    {Opcode::Or, "insts progInsts aluOps"},
+    {Opcode::Xor, "insts progInsts aluOps"},
+    {Opcode::Slt, "insts progInsts aluOps"},
+    {Opcode::Sll, "insts progInsts aluOps"},
+    {Opcode::Srl, "insts progInsts aluOps"},
+    {Opcode::Addi, "insts progInsts aluOps"},
+    {Opcode::Andi, "insts progInsts aluOps"},
+    {Opcode::Ori, "insts progInsts aluOps"},
+    {Opcode::Xori, "insts progInsts aluOps"},
+    {Opcode::Slti, "insts progInsts aluOps"},
+    {Opcode::Lui, "insts progInsts aluOps"},
+    {Opcode::Load, "insts progInsts memRefs loads"},
+    {Opcode::Store, "insts progInsts memRefs stores"},
+    {Opcode::LiveLoad, "insts progInsts memRefs loads restores"},
+    {Opcode::LiveStore, "insts progInsts memRefs stores saves"},
+    {Opcode::Fadd, "insts progInsts fpOps"},
+    {Opcode::Fmul, "insts progInsts fpOps"},
+    {Opcode::Fload, "insts progInsts memRefs loads fpOps"},
+    {Opcode::Fstore, "insts progInsts memRefs stores fpOps"},
+    {Opcode::Beq, "insts progInsts condBranches"},
+    {Opcode::Bne, "insts progInsts condBranches"},
+    {Opcode::Blt, "insts progInsts condBranches"},
+    {Opcode::Bge, "insts progInsts condBranches"},
+    {Opcode::Jump, "insts progInsts"},
+    {Opcode::Call, "insts progInsts calls"},
+    {Opcode::Ret, "insts progInsts returns"},
+    {Opcode::Kill, "insts kills"},
+    {Opcode::LvmSave, "insts progInsts memRefs stores"},
+    {Opcode::LvmLoad, "insts progInsts memRefs loads"},
+};
+
+/** The nonzero counters of `s`, space-separated in member order, each
+ * followed by "=N" unless it is 1. */
+std::string
+countersOf(const BlockStats &s)
+{
+    std::string out;
+    const auto add = [&out](std::uint32_t v, const char *name) {
+        if (!v)
+            return;
+        if (!out.empty())
+            out += ' ';
+        out += name;
+        if (v != 1)
+            out += "=" + std::to_string(v);
+    };
+    add(s.insts, "insts");
+    add(s.progInsts, "progInsts");
+    add(s.kills, "kills");
+    add(s.aluOps, "aluOps");
+    add(s.memRefs, "memRefs");
+    add(s.loads, "loads");
+    add(s.stores, "stores");
+    add(s.fpOps, "fpOps");
+    add(s.saves, "saves");
+    add(s.restores, "restores");
+    add(s.condBranches, "condBranches");
+    add(s.calls, "calls");
+    add(s.returns, "returns");
+    return out;
+}
+
+TEST(TranslateBlock, EveryOpcodesStatsDeltaMatchesItsLiteralRow)
+{
+    ASSERT_EQ(std::size(kBlockStatsRows),
+              static_cast<std::size_t>(Opcode::NumOpcodes));
+    for (std::size_t k = 0; k < std::size(kBlockStatsRows); ++k) {
+        const auto &[op, counters] = kBlockStatsRows[k];
+        ASSERT_EQ(static_cast<std::size_t>(op), k);
+        Instruction i;
+        i.op = op;
+        i.rd = 3;
+        i.rs1 = 4;
+        i.rs2 = 5;
+        i.imm = 0xf0;
+        const XBlock b = translateBlock({i}, 0);
+        ASSERT_EQ(b.len, 1u);
+        EXPECT_EQ(countersOf(b.stat), counters) << i.toString();
+        EXPECT_EQ(countersOf(blockPrefixStats(b, 1)), counters)
+            << i.toString();
+    }
 }
 
 TEST(TranslateBlock, BranchTerminatesAndKillsFlowThrough)

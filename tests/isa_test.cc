@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "isa/decode.hh"
 #include "isa/instruction.hh"
 #include "isa/registers.hh"
@@ -292,6 +295,171 @@ TEST(DecodedInst, AgreesWithInstructionQueriesForEveryOpcode)
                              : i.isReturn() ? idviReturnMask()
                                             : RegMask{};
         EXPECT_EQ(RegMask(d.killMask), kill) << op;
+    }
+}
+
+/**
+ * Every opcode's facts written out literally, as the ISA defines them:
+ * each row is the instruction {op, rd=3, rs1=4, rs2=5, imm=0xf0}'s
+ * disassembly, functional unit and latency, the classification queries
+ * that answer true (see classesOf), its integer and FP sources in
+ * order, and the dead-read probe list (isa::deadCheckRegs) in order.
+ * The sweeps above only check that derived views agree with one
+ * another; this table pins what they all derive from.
+ */
+struct OpcodeRow
+{
+    Opcode op;
+    const char *disasm;
+    FuClass fu;
+    unsigned latency;
+    const char *classes;
+    const char *intSrcs;
+    const char *fpSrcs;
+    const char *deadChecks;
+};
+
+const OpcodeRow kOpcodeRows[] = {
+    {Opcode::Nop, "nop", FuClass::None, 1,
+     "nop", "", "", ""},
+    {Opcode::Halt, "halt", FuClass::None, 1,
+     "halt", "", "", ""},
+    {Opcode::Add, "add v1, a0, a1", FuClass::IntAlu, 1,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Sub, "sub v1, a0, a1", FuClass::IntAlu, 1,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Mul, "mul v1, a0, a1", FuClass::IntMulDiv, 3,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Div, "div v1, a0, a1", FuClass::IntMulDiv, 12,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::And, "and v1, a0, a1", FuClass::IntAlu, 1,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Or, "or v1, a0, a1", FuClass::IntAlu, 1,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Xor, "xor v1, a0, a1", FuClass::IntAlu, 1,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Slt, "slt v1, a0, a1", FuClass::IntAlu, 1,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Sll, "sll v1, a0, a1", FuClass::IntAlu, 1,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Srl, "srl v1, a0, a1", FuClass::IntAlu, 1,
+     "writesInt", "4 5", "", "4 5"},
+    {Opcode::Addi, "addi v1, a0, 240", FuClass::IntAlu, 1,
+     "writesInt", "4", "", "4"},
+    {Opcode::Andi, "andi v1, a0, 240", FuClass::IntAlu, 1,
+     "writesInt", "4", "", "4"},
+    {Opcode::Ori, "ori v1, a0, 240", FuClass::IntAlu, 1,
+     "writesInt", "4", "", "4"},
+    {Opcode::Xori, "xori v1, a0, 240", FuClass::IntAlu, 1,
+     "writesInt", "4", "", "4"},
+    {Opcode::Slti, "slti v1, a0, 240", FuClass::IntAlu, 1,
+     "writesInt", "4", "", "4"},
+    {Opcode::Lui, "lui v1, 240", FuClass::IntAlu, 1,
+     "writesInt", "", "", ""},
+    {Opcode::Load, "ld v1, 240(a0)", FuClass::MemPort, 1,
+     "load mem writesInt", "4", "", "4"},
+    {Opcode::Store, "st a1, 240(a0)", FuClass::MemPort, 1,
+     "store mem", "4 5", "", "5 4"},
+    {Opcode::LiveLoad, "live-ld v1, 240(a0)", FuClass::MemPort, 1,
+     "load mem restore writesInt", "4", "", "4"},
+    {Opcode::LiveStore, "live-st a1, 240(a0)", FuClass::MemPort, 1,
+     "store mem save", "4 5", "", "4"},
+    {Opcode::Fadd, "fadd f3, f4, f5", FuClass::FpAlu, 2,
+     "fp writesFp", "", "4 5", ""},
+    {Opcode::Fmul, "fmul f3, f4, f5", FuClass::FpMulDiv, 4,
+     "fp writesFp", "", "4 5", ""},
+    {Opcode::Fload, "fld f3, 240(a0)", FuClass::MemPort, 1,
+     "load mem fp writesFp", "4", "", "4"},
+    {Opcode::Fstore, "fst f5, 240(a0)", FuClass::MemPort, 1,
+     "store mem fp", "4", "5", "4"},
+    {Opcode::Beq, "beq a0, a1, @240", FuClass::Branch, 1,
+     "condBranch control", "4 5", "", "4 5"},
+    {Opcode::Bne, "bne a0, a1, @240", FuClass::Branch, 1,
+     "condBranch control", "4 5", "", "4 5"},
+    {Opcode::Blt, "blt a0, a1, @240", FuClass::Branch, 1,
+     "condBranch control", "4 5", "", "4 5"},
+    {Opcode::Bge, "bge a0, a1, @240", FuClass::Branch, 1,
+     "condBranch control", "4 5", "", "4 5"},
+    {Opcode::Jump, "j @240", FuClass::Branch, 1,
+     "control", "", "", ""},
+    {Opcode::Call, "call @240", FuClass::Branch, 1,
+     "call control writesInt", "", "", ""},
+    {Opcode::Ret, "ret", FuClass::Branch, 1,
+     "return control", "4", "", "31"},
+    {Opcode::Kill, "kill {r4, r5, r6, r7}", FuClass::None, 1,
+     "kill", "", "", ""},
+    {Opcode::LvmSave, "lvm-save 240(a0)", FuClass::MemPort, 1,
+     "store mem", "4", "", "4"},
+    {Opcode::LvmLoad, "lvm-load 240(a0)", FuClass::MemPort, 1,
+     "load mem", "4", "", "4"},
+};
+
+/** The classification queries of `i` that answer true, space-separated
+ * in a fixed order. */
+std::string
+classesOf(const Instruction &i)
+{
+    std::string s;
+    const auto add = [&s](bool on, const char *name) {
+        if (!on)
+            return;
+        if (!s.empty())
+            s += ' ';
+        s += name;
+    };
+    add(i.isNop(), "nop");
+    add(i.isHalt(), "halt");
+    add(i.isCondBranch(), "condBranch");
+    add(i.isCall(), "call");
+    add(i.isReturn(), "return");
+    add(i.isControl(), "control");
+    add(i.isLoad(), "load");
+    add(i.isStore(), "store");
+    add(i.isMem(), "mem");
+    add(i.isKill(), "kill");
+    add(i.isSave(), "save");
+    add(i.isRestore(), "restore");
+    add(i.isFp(), "fp");
+    add(i.writesIntReg(), "writesInt");
+    add(i.writesFpReg(), "writesFp");
+    return s;
+}
+
+/** `regs[0..n)` as space-separated register numbers. */
+std::string
+regList(const RegIndex *regs, unsigned n)
+{
+    std::string s;
+    for (unsigned k = 0; k < n; ++k) {
+        if (k)
+            s += ' ';
+        s += std::to_string(static_cast<unsigned>(regs[k]));
+    }
+    return s;
+}
+
+TEST(OpcodeTable, EveryOpcodeMatchesItsLiteralRow)
+{
+    ASSERT_EQ(std::size(kOpcodeRows),
+              static_cast<std::size_t>(Opcode::NumOpcodes));
+    for (std::size_t k = 0; k < std::size(kOpcodeRows); ++k) {
+        const OpcodeRow &row = kOpcodeRows[k];
+        ASSERT_EQ(static_cast<std::size_t>(row.op), k);
+        Instruction i;
+        i.op = row.op;
+        i.rd = 3;
+        i.rs1 = 4;
+        i.rs2 = 5;
+        i.imm = 0xf0;
+        SCOPED_TRACE(row.disasm);
+        EXPECT_EQ(i.toString(), row.disasm);
+        EXPECT_EQ(i.fuClass(), row.fu);
+        EXPECT_EQ(i.execLatency(), row.latency);
+        EXPECT_EQ(classesOf(i), row.classes);
+        RegIndex regs[2];
+        EXPECT_EQ(regList(regs, i.srcIntRegs(regs)), row.intSrcs);
+        EXPECT_EQ(regList(regs, i.srcFpRegs(regs)), row.fpSrcs);
+        EXPECT_EQ(regList(regs, deadCheckRegs(i, regs)), row.deadChecks);
     }
 }
 

@@ -22,27 +22,22 @@
  */
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/lint.hh"
 #include "base/cli.hh"
 #include "base/logging.hh"
-#include "base/rng.hh"
 #include "base/test_seed.hh"
 #include "compiler/compile.hh"
 #include "driver/scenario_registry.hh"
+#include "fuzz/campaign.hh"
 #include "fuzz/oracle.hh"
-#include "fuzz/program_gen.hh"
 #include "fuzz/repro.hh"
 #include "obs/telemetry.hh"
 #include "sim/manifest.hh"
-#include "workload/benchmarks.hh"
-#include "workload/generator.hh"
 
 using namespace dvi;
 
@@ -87,82 +82,8 @@ using cli::parseFraction;
 using cli::parseUint;
 using cli::readFile;
 
-struct LintRun
-{
-    analysis::LintOptions opts;
-    fuzz::FaultSpec fault;
-    analysis::FindingReport report;
-    std::size_t units = 0;
-    std::size_t binaries = 0;
-    std::size_t faulted = 0;
-
-    /** Modules already linted, by unit name (scenarios share
-     * benchmarks; lint each module once). */
-    std::set<std::string> seenModules;
-    /** (unit name, policy) binaries already linted. */
-    std::set<std::pair<std::string, int>> seenBinaries;
-
-    void
-    lintModule(const std::string &unit, const prog::Module &mod)
-    {
-        if (!seenModules.insert(unit).second)
-            return;
-        ++units;
-        prog::Module named = mod;
-        named.name = unit;
-        report.merge(analysis::lintModule(named, opts));
-    }
-
-    void
-    lintBinary(const std::string &unit, const prog::Module &mod,
-               comp::EdviPolicy policy)
-    {
-        if (!seenBinaries
-                 .insert({unit, static_cast<int>(policy)})
-                 .second)
-            return;
-        ++binaries;
-        comp::CompileOptions copts;
-        copts.edvi = policy;
-        comp::Executable exe = comp::compile(mod, copts);
-        exe.name = unit + "/" + sim::edviPolicyName(policy);
-        if (fault.enabled && fuzz::applyKillFault(exe, fault))
-            ++faulted;
-        report.merge(analysis::lintExecutable(exe, opts));
-    }
-
-    /** Lint the module plus one binary per distinct policy. */
-    void
-    lintUnit(const std::string &unit, const prog::Module &mod,
-             const std::set<comp::EdviPolicy> &policies)
-    {
-        lintModule(unit, mod);
-        // Compiling structurally broken IR would panic; the module
-        // findings already tell the story.
-        if (!analysis::firstModuleError(mod).empty())
-            return;
-        for (comp::EdviPolicy p : policies)
-            lintBinary(unit, mod, p);
-    }
-};
-
-/** Distinct (benchmark, policy) pairs a scenario list references. */
 void
-lintScenarios(LintRun &run,
-              const std::vector<sim::Scenario> &scenarios)
-{
-    std::map<workload::BenchmarkId, std::set<comp::EdviPolicy>>
-        variants;
-    for (const sim::Scenario &s : scenarios)
-        variants[s.workload].insert(s.binary.edvi);
-    for (const auto &[id, policies] : variants) {
-        run.lintUnit(workload::benchmarkName(id),
-                     workload::generateBenchmark(id), policies);
-    }
-}
-
-void
-lintRegistered(LintRun &run, const std::string &name)
+lintRegistered(analysis::LintRun &run, const std::string &name)
 {
     const driver::RegisteredScenario &s = driver::scenarioFor(name);
     const driver::Campaign campaign =
@@ -170,25 +91,20 @@ lintRegistered(LintRun &run, const std::string &name)
     std::vector<sim::Scenario> scenarios;
     for (const driver::JobSpec &job : campaign.jobs())
         scenarios.push_back(job.scenario);
-    lintScenarios(run, scenarios);
+    run.lintScenarios(scenarios);
 }
 
+/** Lint the corpus dvi-fuzz runs from the same seed and fraction. */
 void
-lintFuzzCorpus(LintRun &run, std::uint64_t seed, std::uint64_t count,
-               double structured_fraction)
+lintFuzzCorpus(analysis::LintRun &run, std::uint64_t seed,
+               std::uint64_t count, double structured_fraction)
 {
+    fuzz::FuzzConfig corpus;
+    corpus.seed = seed;
+    corpus.structuredFraction = structured_fraction;
     for (std::uint64_t i = 0; i < count; ++i) {
-        // Mirrors fuzz::runFuzzCampaign's program derivation so
-        // "lint the corpus" and "fuzz the corpus" see the same
-        // programs.
-        Rng rng(mixSeed(seed, i));
-        const bool structured = rng.chance(structured_fraction);
-        const prog::Module mod =
-            structured
-                ? workload::generate(workload::randomParams(rng))
-                : fuzz::generateProgram(
-                      fuzz::randomProgramParams(rng));
-        run.lintUnit("fuzz-" + std::to_string(i), mod,
+        run.lintUnit("fuzz-" + std::to_string(i),
+                     fuzz::generateOne(corpus, i),
                      {comp::EdviPolicy::None,
                       comp::EdviPolicy::CallSites,
                       comp::EdviPolicy::Dense});
@@ -200,7 +116,8 @@ lintFuzzCorpus(LintRun &run, std::uint64_t seed, std::uint64_t count,
 int
 main(int argc, char **argv)
 {
-    LintRun run;
+    analysis::LintOptions lint_opts;
+    fuzz::FaultSpec fault;
     std::vector<std::string> scenario_names;
     bool all = false;
     bool list = false;
@@ -237,7 +154,7 @@ main(int argc, char **argv)
             structured_fraction =
                 parseFraction("--structured-fraction", value());
         } else if (arg == "--advisory") {
-            run.opts.advisory = true;
+            lint_opts.advisory = true;
         } else if (arg == "--inject-kill-bit") {
             const std::string kv = value();
             const std::size_t colon = kv.find(':');
@@ -245,14 +162,14 @@ main(int argc, char **argv)
                          colon + 1 >= kv.size(),
                      "--inject-kill-bit wants ORDINAL:REG, got '",
                      kv, "'");
-            run.fault.enabled = true;
-            run.fault.killOrdinal = parseUint<unsigned>(
+            fault.enabled = true;
+            fault.killOrdinal = parseUint<unsigned>(
                 "--inject-kill-bit", kv.substr(0, colon).c_str());
             const std::uint64_t reg = parseUint(
                 "--inject-kill-bit", kv.substr(colon + 1).c_str());
             fatal_if(reg == 0 || reg >= 32,
                      "--inject-kill-bit register must be 1..31");
-            run.fault.reg = static_cast<RegIndex>(reg);
+            fault.reg = static_cast<RegIndex>(reg);
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--telemetry") {
@@ -277,6 +194,14 @@ main(int argc, char **argv)
         return 0;
     }
 
+    analysis::LintRun run(lint_opts);
+    std::size_t faulted = 0;
+    if (fault.enabled) {
+        run.beforeLint = [&](comp::Executable &exe) {
+            faulted += fuzz::applyKillFault(exe, fault);
+        };
+    }
+
     const bool explicit_source = !scenario_names.empty() ||
                                  !manifest_path.empty() ||
                                  !repro_path.empty() || fuzz_count;
@@ -293,7 +218,7 @@ main(int argc, char **argv)
         const std::string err = sim::manifestFromJson(
             readFile(manifest_path), manifest);
         fatal_if(!err.empty(), manifest_path, ": ", err);
-        lintScenarios(run, manifest.scenarios);
+        run.lintScenarios(manifest.scenarios);
     }
 
     if (!repro_path.empty()) {
@@ -315,7 +240,7 @@ main(int argc, char **argv)
         lintFuzzCorpus(run, seed, fuzz_count, structured_fraction);
     }
 
-    if (run.fault.enabled && !run.faulted) {
+    if (fault.enabled && !faulted) {
         std::fprintf(stderr,
                      "dvi-lint: --inject-kill-bit matched no kill "
                      "instruction in any linted binary\n");
@@ -324,28 +249,29 @@ main(int argc, char **argv)
     std::unique_ptr<obs::TelemetrySink> sink;
     if (!telemetry_path.empty()) {
         sink = obs::TelemetrySink::open(telemetry_path);
-        run.report.emitTelemetry(sink.get(), run.units);
+        run.report().emitTelemetry(sink.get(), run.units());
     }
 
     if (json) {
-        std::printf("%s", run.report.toJson().dump(2).c_str());
+        std::printf("%s", run.report().toJson().dump(2).c_str());
         std::printf("\n");
-    } else if (!quiet && !run.report.empty()) {
-        run.report.toTable().print();
+    } else if (!quiet && !run.report().empty()) {
+        run.report().toTable().print();
     }
+    const analysis::FindingReport &report = run.report();
     std::fprintf(
         stderr,
         "dvi-lint: %zu module%s, %zu binar%s, %zu finding%s "
         "(%zu error%s, %zu warning%s, %zu info%s)%s\n",
-        run.units, run.units == 1 ? "" : "s", run.binaries,
-        run.binaries == 1 ? "y" : "ies", run.report.size(),
-        run.report.size() == 1 ? "" : "s",
-        run.report.count(analysis::Severity::Error),
-        run.report.count(analysis::Severity::Error) == 1 ? "" : "s",
-        run.report.count(analysis::Severity::Warn),
-        run.report.count(analysis::Severity::Warn) == 1 ? "" : "s",
-        run.report.count(analysis::Severity::Info),
-        run.report.count(analysis::Severity::Info) == 1 ? "" : "s",
-        run.fault.enabled ? " [fault injection ON]" : "");
-    return run.report.failing() ? 1 : 0;
+        run.units(), run.units() == 1 ? "" : "s", run.binaries(),
+        run.binaries() == 1 ? "y" : "ies", report.size(),
+        report.size() == 1 ? "" : "s",
+        report.count(analysis::Severity::Error),
+        report.count(analysis::Severity::Error) == 1 ? "" : "s",
+        report.count(analysis::Severity::Warn),
+        report.count(analysis::Severity::Warn) == 1 ? "" : "s",
+        report.count(analysis::Severity::Info),
+        report.count(analysis::Severity::Info) == 1 ? "" : "s",
+        fault.enabled ? " [fault injection ON]" : "");
+    return report.failing() ? 1 : 0;
 }

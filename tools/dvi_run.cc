@@ -29,9 +29,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,14 +38,12 @@
 #include "base/cli.hh"
 #include "base/failpoint.hh"
 #include "base/logging.hh"
-#include "compiler/compile.hh"
 #include "driver/scenario_registry.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
 #include "obs/trace.hh"
 #include "sim/manifest.hh"
 #include "sim/scenario.hh"
-#include "workload/benchmarks.hh"
 
 using namespace dvi;
 
@@ -424,32 +420,14 @@ main(int argc, char **argv)
     // burning hours on an unsoundly annotated binary is wasted
     // compute AND a wrong conclusion.
     if (lint) {
-        std::map<workload::BenchmarkId,
-                 std::set<comp::EdviPolicy>>
-            variants;
+        std::vector<sim::Scenario> scenarios;
         for (const driver::JobSpec &job : campaign.jobs())
-            variants[job.scenario.workload].insert(
-                job.scenario.binary.edvi);
-        analysis::FindingReport findings;
-        std::size_t binaries = 0;
-        for (const auto &[id, policies] : variants) {
-            prog::Module mod = workload::generateBenchmark(id);
-            mod.name = workload::benchmarkName(id);
-            findings.merge(analysis::lintModule(mod));
-            if (!analysis::firstModuleError(mod).empty())
-                continue;  // compiling broken IR would panic
-            for (comp::EdviPolicy policy : policies) {
-                comp::CompileOptions lint_copts;
-                lint_copts.edvi = policy;
-                comp::Executable exe =
-                    comp::compile(mod, lint_copts);
-                exe.name = mod.name + "/" +
-                           sim::edviPolicyName(policy);
-                ++binaries;
-                findings.merge(analysis::lintExecutable(exe));
-            }
-        }
-        findings.emitTelemetry(sink.get(), variants.size());
+            scenarios.push_back(job.scenario);
+        analysis::LintRun run;
+        run.lintScenarios(scenarios);
+        const analysis::FindingReport &findings = run.report();
+        const std::size_t binaries = run.binaries();
+        findings.emitTelemetry(sink.get(), run.units());
         if (findings.failing()) {
             findings.toTable("pre-launch lint findings").print();
             flusher.reset();
@@ -470,7 +448,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "dvi-run: lint clean (%zu module(s), %zu "
                      "binar%s)\n",
-                     variants.size(), binaries,
+                     run.units(), binaries,
                      binaries == 1 ? "y" : "ies");
     }
 
