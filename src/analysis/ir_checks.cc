@@ -16,123 +16,9 @@ namespace
 {
 
 using prog::IrInst;
-using prog::IrOp;
+using prog::IrOpClass;
 using prog::noVReg;
 using prog::VReg;
-
-/** The vreg an instruction defines, or noVReg. */
-VReg
-irDef(const IrInst &inst)
-{
-    switch (inst.op) {
-      case IrOp::Add:
-      case IrOp::Sub:
-      case IrOp::Mul:
-      case IrOp::Div:
-      case IrOp::And:
-      case IrOp::Or:
-      case IrOp::Xor:
-      case IrOp::Slt:
-      case IrOp::Sll:
-      case IrOp::Srl:
-      case IrOp::AddImm:
-      case IrOp::AndImm:
-      case IrOp::OrImm:
-      case IrOp::XorImm:
-      case IrOp::SltImm:
-      case IrOp::LoadImm:
-      case IrOp::Load:
-      case IrOp::LoadStack:
-        return inst.dst;
-      case IrOp::Call:
-        return inst.dst;  // noVReg when the result is discarded
-      default:
-        return noVReg;
-    }
-}
-
-/** The vregs an instruction reads (noVReg entries already dropped). */
-std::vector<VReg>
-irUses(const IrInst &inst)
-{
-    std::vector<VReg> uses;
-    auto add = [&](VReg v) {
-        if (v != noVReg)
-            uses.push_back(v);
-    };
-    switch (inst.op) {
-      case IrOp::Add:
-      case IrOp::Sub:
-      case IrOp::Mul:
-      case IrOp::Div:
-      case IrOp::And:
-      case IrOp::Or:
-      case IrOp::Xor:
-      case IrOp::Slt:
-      case IrOp::Sll:
-      case IrOp::Srl:
-      case IrOp::Beq:
-      case IrOp::Bne:
-      case IrOp::Blt:
-      case IrOp::Bge:
-        add(inst.src1);
-        add(inst.src2);
-        break;
-      case IrOp::AddImm:
-      case IrOp::AndImm:
-      case IrOp::OrImm:
-      case IrOp::XorImm:
-      case IrOp::SltImm:
-      case IrOp::Load:
-      case IrOp::StoreStack:
-        add(inst.src1);
-        break;
-      case IrOp::Store:
-        add(inst.src1);  // value
-        add(inst.src2);  // base
-        break;
-      case IrOp::Call:
-        for (VReg a : inst.args)
-            add(a);
-        break;
-      case IrOp::Ret:
-        add(inst.src1);
-        break;
-      default:
-        break;  // LoadImm, LoadStack, FP ops, Jump, Halt
-    }
-    return uses;
-}
-
-/** True when the op's only effect is writing its dst vreg, so an
- * unread result makes the whole instruction dead. */
-bool
-isPureDef(IrOp op)
-{
-    switch (op) {
-      case IrOp::Add:
-      case IrOp::Sub:
-      case IrOp::Mul:
-      case IrOp::Div:
-      case IrOp::And:
-      case IrOp::Or:
-      case IrOp::Xor:
-      case IrOp::Slt:
-      case IrOp::Sll:
-      case IrOp::Srl:
-      case IrOp::AddImm:
-      case IrOp::AndImm:
-      case IrOp::OrImm:
-      case IrOp::XorImm:
-      case IrOp::SltImm:
-      case IrOp::LoadImm:
-      case IrOp::LoadStack:
-        return true;
-      default:
-        // Loads can fault, calls have effects: never "dead".
-        return false;
-    }
-}
 
 class IrChecker
 {
@@ -145,6 +31,7 @@ class IrChecker
     FindingReport
     run()
     {
+        checkStructure();
         for (std::size_t p = 0; p < mod_.procs.size(); ++p)
             checkProc(static_cast<int>(p));
         return std::move(report_);
@@ -162,123 +49,39 @@ class IrChecker
         return s;
     }
 
+    /** ir-structure: one finding per error of the module's
+     * structure walk (Module::structureErrors). */
+    void
+    checkStructure()
+    {
+        cfgUsable_.assign(mod_.procs.size(), true);
+        for (const prog::IrError &e : mod_.structureErrors()) {
+            Site s;
+            s.unit = mod_.name;
+            if (e.proc >= 0) {
+                s = site(e.proc, e.block, e.inst);
+                if (!e.cfgUsable)
+                    cfgUsable_[static_cast<std::size_t>(e.proc)] =
+                        false;
+            }
+            report_.add(Severity::Error, "ir-structure", std::move(s),
+                        e.message);
+        }
+    }
+
     void
     checkProc(int p)
     {
+        if (!cfgUsable_[static_cast<std::size_t>(p)])
+            return;  // dataflow over a malformed CFG is meaningless
         const prog::Procedure &proc =
             mod_.procs[static_cast<std::size_t>(p)];
-        const bool ok = checkStructure(p, proc);
-        if (!ok || proc.blocks.empty())
-            return;  // dataflow over a malformed CFG is meaningless
-
         const Cfg cfg = cfgFromProcedure(proc);
         checkDefBeforeUse(p, proc, cfg);
         if (advisory_) {
             checkUnreachable(p, proc, cfg);
             checkDeadStores(p, proc, cfg);
         }
-    }
-
-    /** ir-structure. Returns true when the CFG is sound enough for
-     * the dataflow rules to run. */
-    bool
-    checkStructure(int p, const prog::Procedure &proc)
-    {
-        bool sound = true;
-        if (proc.blocks.empty()) {
-            report_.add(Severity::Error, "ir-structure", site(p),
-                        "procedure has no blocks");
-            return false;
-        }
-        if (proc.params.size() > 4) {
-            report_.add(Severity::Error, "ir-structure", site(p),
-                        std::to_string(proc.params.size()) +
-                            " parameters exceed the 4-register ABI "
-                            "limit");
-        }
-        for (VReg v : proc.params) {
-            if (v == noVReg || v >= proc.nextVReg) {
-                report_.add(Severity::Error, "ir-structure", site(p),
-                            "parameter vreg " + std::to_string(v) +
-                                " outside the allocated range");
-            }
-        }
-
-        const int nblocks = static_cast<int>(proc.blocks.size());
-        for (int b = 0; b < nblocks; ++b) {
-            const auto &insts =
-                proc.blocks[static_cast<std::size_t>(b)].insts;
-            const int ninsts = static_cast<int>(insts.size());
-            for (int i = 0; i < ninsts; ++i) {
-                const IrInst &inst =
-                    insts[static_cast<std::size_t>(i)];
-                if (inst.isTerminator() && i != ninsts - 1) {
-                    report_.add(Severity::Error, "ir-structure",
-                                site(p, b, i),
-                                "terminator is not the final "
-                                "instruction of its block");
-                    sound = false;
-                }
-                if ((inst.isCondBranch() || inst.op == IrOp::Jump) &&
-                    (inst.target < 0 || inst.target >= nblocks)) {
-                    report_.add(Severity::Error, "ir-structure",
-                                site(p, b, i),
-                                "branch target block " +
-                                    std::to_string(inst.target) +
-                                    " out of range");
-                    sound = false;
-                }
-                if (inst.op == IrOp::Call) {
-                    if (inst.callee < 0 ||
-                        inst.callee >=
-                            static_cast<int>(mod_.procs.size())) {
-                        report_.add(Severity::Error, "ir-structure",
-                                    site(p, b, i),
-                                    "callee index " +
-                                        std::to_string(inst.callee) +
-                                        " out of range");
-                    }
-                    if (inst.args.size() > 4) {
-                        report_.add(
-                            Severity::Error, "ir-structure",
-                            site(p, b, i),
-                            std::to_string(inst.args.size()) +
-                                " call arguments exceed the "
-                                "4-register ABI limit");
-                    }
-                }
-                checkOperands(p, b, i, inst, proc);
-            }
-            // A non-terminated final block falls off the end of the
-            // procedure.
-            if (b == nblocks - 1 &&
-                (insts.empty() || !insts.back().isTerminator())) {
-                report_.add(Severity::Error, "ir-structure",
-                            site(p, b),
-                            "final block falls through past the end "
-                            "of the procedure");
-                sound = false;
-            }
-        }
-        return sound;
-    }
-
-    void
-    checkOperands(int p, int b, int i, const IrInst &inst,
-                  const prog::Procedure &proc)
-    {
-        auto bad = [&](const char *role, VReg v) {
-            report_.add(Severity::Error, "ir-structure", site(p, b, i),
-                        std::string(role) + " vreg " +
-                            std::to_string(v) +
-                            " outside the allocated range");
-        };
-        const VReg def = irDef(inst);
-        if (def != noVReg && def >= proc.nextVReg)
-            bad("destination", def);
-        for (VReg u : irUses(inst))
-            if (u >= proc.nextVReg)
-                bad("source", u);
     }
 
     /** ir-unreachable. */
@@ -440,7 +243,8 @@ class IrChecker
                     insts[static_cast<std::size_t>(i)];
                 const VReg d = irDef(inst);
                 if (d != noVReg && d < proc.nextVReg) {
-                    if (!live.test(d) && isPureDef(inst.op)) {
+                    if (!live.test(d) &&
+                        (inst.info().flags & IrOpClass::pure)) {
                         report_.add(Severity::Info, "ir-dead-store",
                                     site(p, b, i),
                                     "value written to vreg " +
@@ -458,6 +262,7 @@ class IrChecker
 
     const prog::Module &mod_;
     const bool advisory_;
+    std::vector<bool> cfgUsable_;  ///< per procedure
     FindingReport report_;
 };
 

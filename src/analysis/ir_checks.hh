@@ -2,11 +2,21 @@
  * @file
  * Static checks over the mid-level IR (prog::Module).
  *
+ * The rules read the IR's own specification: def/use sets and the
+ * pure flag come from the IR op table (program/ir.hh), as the machine
+ * rules read the ABI masks. They check the compiler's input; kill
+ * soundness is proved on the machine code (machine_checks).
+ *
  * Rule catalog:
- *  - ir-structure (error): CFG well-formedness — terminator placement,
- *    branch/jump targets in range, callee indices and argument counts,
- *    operand vregs within the procedure's allocated range, blocks that
- *    fall off the end of the procedure.
+ *  - ir-structure (error): one finding per error of the module's
+ *    structure walk (prog::Module::structureErrors, the one
+ *    Module::validate reports from) — procedures present and
+ *    mainIndex valid, blocks present, at most 4 params, terminator
+ *    placement, branch/jump targets in range, callee indices, no call
+ *    passing more args than its callee has params, param and operand
+ *    vregs within the procedure's allocated range, blocks that fall
+ *    off the end of the procedure. Dataflow rules skip a procedure
+ *    whose CFG an error broke.
  *  - ir-unreachable (info, advisory): blocks no path from the entry
  *    reaches. Legal — the adversarial fuzz generator emits them on
  *    purpose and the compiler lowers them — but worth surfacing when
@@ -16,8 +26,9 @@
  *    register allocator) or is not definitely assigned on every path
  *    from entry (definite assignment: forward/intersect dataflow
  *    seeded with the parameter set).
- *  - ir-dead-store (info, advisory): a side-effect-free definition
- *    whose value no path ever reads — backward liveness over vregs.
+ *  - ir-dead-store (info, advisory): a definition by a pure op (the
+ *    op table's flag: its only effect is writing dst) whose value no
+ *    path ever reads — backward liveness over vregs.
  *    This is exactly the "dead value" density the paper mines, so a
  *    plain module legitimately has them; the rule feeds the
  *    ablation-edvi-density story rather than failing lint.

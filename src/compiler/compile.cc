@@ -14,6 +14,7 @@ namespace comp
 
 using isa::Instruction;
 using isa::Opcode;
+using prog::IrFormat;
 using prog::IrInst;
 using prog::IrOp;
 using prog::Module;
@@ -31,48 +32,13 @@ struct CallFixup
     int calleeProc;
 };
 
-Opcode
-lowerAluOp(IrOp op)
-{
-    switch (op) {
-      case IrOp::Add: return Opcode::Add;
-      case IrOp::Sub: return Opcode::Sub;
-      case IrOp::Mul: return Opcode::Mul;
-      case IrOp::Div: return Opcode::Div;
-      case IrOp::And: return Opcode::And;
-      case IrOp::Or: return Opcode::Or;
-      case IrOp::Xor: return Opcode::Xor;
-      case IrOp::Slt: return Opcode::Slt;
-      case IrOp::Sll: return Opcode::Sll;
-      case IrOp::Srl: return Opcode::Srl;
-      default: panic("lowerAluOp: not a reg-reg op");
-    }
-}
-
-Opcode
-lowerAluImmOp(IrOp op)
-{
-    switch (op) {
-      case IrOp::AddImm: return Opcode::Addi;
-      case IrOp::AndImm: return Opcode::Andi;
-      case IrOp::OrImm: return Opcode::Ori;
-      case IrOp::XorImm: return Opcode::Xori;
-      case IrOp::SltImm: return Opcode::Slti;
-      default: panic("lowerAluImmOp: not a reg-imm op");
-    }
-}
-
-Opcode
-lowerBranchOp(IrOp op)
-{
-    switch (op) {
-      case IrOp::Beq: return Opcode::Beq;
-      case IrOp::Bne: return Opcode::Bne;
-      case IrOp::Blt: return Opcode::Blt;
-      case IrOp::Bge: return Opcode::Bge;
-      default: panic("lowerBranchOp: not a branch");
-    }
-}
+/** The op table's machineOp column, indexed by IrOp. */
+constexpr Opcode loweredOp[] = {
+#define DVI_IR_LOWERED_OP(name, token, format, machineOp, flags)       \
+    Opcode::machineOp,
+    DVI_IR_OPS(DVI_IR_LOWERED_OP)
+#undef DVI_IR_LOWERED_OP
+};
 
 /** Emits one procedure; owns its frame layout and fixups. */
 class ProcEmitter
@@ -315,97 +281,76 @@ class ProcEmitter
     void
     expand(const IrInst &inst, const DynBitset &live_after)
     {
-        switch (inst.op) {
-          case IrOp::Add:
-          case IrOp::Sub:
-          case IrOp::Mul:
-          case IrOp::Div:
-          case IrOp::And:
-          case IrOp::Or:
-          case IrOp::Xor:
-          case IrOp::Slt:
-          case IrOp::Sll:
-          case IrOp::Srl: {
+        const Opcode op = loweredOp[static_cast<unsigned>(inst.op)];
+        switch (inst.info().format) {
+          case IrFormat::RegReg: {
             RegIndex a = readSrc(inst.src1, 0);
             RegIndex b = readSrc(inst.src2, 1);
-            push(Instruction::alu(lowerAluOp(inst.op),
-                                  destReg(inst.dst), a, b));
+            push(Instruction::alu(op, destReg(inst.dst), a, b));
             flushDest(inst.dst);
             break;
           }
-          case IrOp::AddImm:
-          case IrOp::AndImm:
-          case IrOp::OrImm:
-          case IrOp::XorImm:
-          case IrOp::SltImm: {
+          case IrFormat::RegImm: {
             RegIndex a = readSrc(inst.src1, 0);
-            push(Instruction::aluImm(lowerAluImmOp(inst.op),
-                                     destReg(inst.dst), a,
+            push(Instruction::aluImm(op, destReg(inst.dst), a,
                                      inst.imm));
             flushDest(inst.dst);
             break;
           }
-          case IrOp::LoadImm:
+          case IrFormat::LoadImm:
             emitLoadImm(destReg(inst.dst), inst.imm);
             flushDest(inst.dst);
             break;
-          case IrOp::Load: {
+          case IrFormat::Load: {
             RegIndex base = readSrc(inst.src1, 0);
             push(Instruction::load(destReg(inst.dst), base,
                                    inst.imm));
             flushDest(inst.dst);
             break;
           }
-          case IrOp::Store: {
+          case IrFormat::Store: {
             RegIndex value = readSrc(inst.src1, 0);
             RegIndex base = readSrc(inst.src2, 1);
             push(Instruction::store(value, base, inst.imm));
             break;
           }
-          case IrOp::LoadStack:
+          case IrFormat::StackLoad:
             push(Instruction::load(destReg(inst.dst), isa::regSp,
                                    localOffset(inst.imm)));
             flushDest(inst.dst);
             break;
-          case IrOp::StoreStack: {
+          case IrFormat::StackStore: {
             RegIndex value = readSrc(inst.src1, 0);
             push(Instruction::store(value, isa::regSp,
                                     localOffset(inst.imm)));
             break;
           }
-          case IrOp::Fadd:
-            push(Instruction::fadd(inst.fd, inst.fs1, inst.fs2));
+          case IrFormat::FpRegReg:
+            push(Instruction{op, inst.fd, inst.fs1, inst.fs2});
             break;
-          case IrOp::Fmul:
-            push(Instruction::fmul(inst.fd, inst.fs1, inst.fs2));
-            break;
-          case IrOp::FloadStack:
+          case IrFormat::FpStackLoad:
             push(Instruction::fload(inst.fd, isa::regSp,
                                     localOffset(inst.imm)));
             break;
-          case IrOp::FstoreStack:
+          case IrFormat::FpStackStore:
             push(Instruction::fstore(inst.fs1, isa::regSp,
                                      localOffset(inst.imm)));
             break;
-          case IrOp::Beq:
-          case IrOp::Bne:
-          case IrOp::Blt:
-          case IrOp::Bge: {
+          case IrFormat::Branch: {
             RegIndex a = readSrc(inst.src1, 0);
             RegIndex b = readSrc(inst.src2, 1);
             branchFixups.emplace_back(code.size(), inst.target);
-            push(Instruction::branch(lowerBranchOp(inst.op), a, b,
-                                     0));
+            push(Instruction::branch(op, a, b, 0));
             break;
           }
-          case IrOp::Jump:
+          case IrFormat::Jump:
             branchFixups.emplace_back(code.size(), inst.target);
             push(Instruction::jump(0));
             break;
-          case IrOp::Call:
+          case IrFormat::Call:
             expandCall(inst, live_after);
             break;
-          case IrOp::Ret:
+          case IrFormat::Ret:
             if (inst.src1 != noVReg) {
                 const VRegLoc &loc = alloc.locs[inst.src1];
                 panic_if(!loc.allocated, "return of unallocated vreg");
@@ -419,7 +364,7 @@ class ProcEmitter
             retFixups.push_back(code.size());
             push(Instruction::jump(0));
             break;
-          case IrOp::Halt:
+          case IrFormat::Halt:
             push(Instruction::halt());
             break;
         }

@@ -1,103 +1,14 @@
 #include "compiler/liveness.hh"
 
-#include "base/logging.hh"
-
 namespace dvi
 {
 namespace comp
 {
 
 using prog::IrInst;
-using prog::IrOp;
 using prog::noVReg;
 using prog::Procedure;
 using prog::VReg;
-
-std::vector<VReg>
-irUses(const IrInst &inst)
-{
-    std::vector<VReg> uses;
-    auto add = [&](VReg v) {
-        if (v != noVReg)
-            uses.push_back(v);
-    };
-    switch (inst.op) {
-      case IrOp::Add:
-      case IrOp::Sub:
-      case IrOp::Mul:
-      case IrOp::Div:
-      case IrOp::And:
-      case IrOp::Or:
-      case IrOp::Xor:
-      case IrOp::Slt:
-      case IrOp::Sll:
-      case IrOp::Srl:
-      case IrOp::Beq:
-      case IrOp::Bne:
-      case IrOp::Blt:
-      case IrOp::Bge:
-        add(inst.src1);
-        add(inst.src2);
-        break;
-      case IrOp::AddImm:
-      case IrOp::AndImm:
-      case IrOp::OrImm:
-      case IrOp::XorImm:
-      case IrOp::SltImm:
-      case IrOp::Load:
-      case IrOp::StoreStack:
-      case IrOp::Ret:
-        add(inst.src1);
-        break;
-      case IrOp::Store:
-        add(inst.src1);  // value
-        add(inst.src2);  // base
-        break;
-      case IrOp::Call:
-        for (VReg a : inst.args)
-            add(a);
-        break;
-      case IrOp::LoadImm:
-      case IrOp::LoadStack:
-      case IrOp::Fadd:
-      case IrOp::Fmul:
-      case IrOp::FloadStack:
-      case IrOp::FstoreStack:
-      case IrOp::Jump:
-      case IrOp::Halt:
-        break;
-    }
-    return uses;
-}
-
-VReg
-irDef(const IrInst &inst)
-{
-    switch (inst.op) {
-      case IrOp::Add:
-      case IrOp::Sub:
-      case IrOp::Mul:
-      case IrOp::Div:
-      case IrOp::And:
-      case IrOp::Or:
-      case IrOp::Xor:
-      case IrOp::Slt:
-      case IrOp::Sll:
-      case IrOp::Srl:
-      case IrOp::AddImm:
-      case IrOp::AndImm:
-      case IrOp::OrImm:
-      case IrOp::XorImm:
-      case IrOp::SltImm:
-      case IrOp::LoadImm:
-      case IrOp::Load:
-      case IrOp::LoadStack:
-      case IrOp::Call:
-        return inst.dst;
-      default:
-        return noVReg;
-    }
-}
 
 Liveness
 computeLiveness(const Procedure &proc)

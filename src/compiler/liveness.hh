@@ -5,9 +5,12 @@
  * This is the standard backward dataflow the paper relies on (§2: "The
  * information encoded in E-DVI instructions is computed using static,
  * intra-procedural liveness analysis performed in standard
- * compilers"). The register allocator consumes the per-position sets
+ * compilers"). Which vregs each op reads and writes comes from the IR
+ * op table (prog::irUses / prog::irDef), the same facts the IR lint
+ * rules use. The register allocator consumes the per-position sets
  * to build interference, and the E-DVI pass consumes live-out sets at
- * call sites to form kill masks.
+ * call sites to form kill masks. Kill soundness is proved
+ * independently, on the machine code (analysis/machine_checks).
  */
 
 #ifndef DVI_COMPILER_LIVENESS_HH
@@ -30,12 +33,6 @@ struct Liveness
     std::vector<DynBitset> liveIn;     ///< per block
     std::vector<DynBitset> liveOut;    ///< per block
 };
-
-/** Virtual registers read by an IR instruction (0–5 with call args). */
-std::vector<prog::VReg> irUses(const prog::IrInst &inst);
-
-/** Virtual register defined by an IR instruction, or noVReg. */
-prog::VReg irDef(const prog::IrInst &inst);
 
 /** Run the backward dataflow to a fixed point. */
 Liveness computeLiveness(const prog::Procedure &proc);

@@ -5,9 +5,9 @@
 #include <ostream>
 
 #include "base/logging.hh"
+#include "driver/regfile_timing.hh"
 #include "driver/scenario_registry.hh"
 #include "stats/counter.hh"
-#include "timing/regfile_timing.hh"
 
 namespace dvi
 {

@@ -17,8 +17,8 @@
  * Overall system performance is IPC x clock rate = IPC / t.
  */
 
-#ifndef DVI_TIMING_REGFILE_TIMING_HH
-#define DVI_TIMING_REGFILE_TIMING_HH
+#ifndef DVI_DRIVER_REGFILE_TIMING_HH
+#define DVI_DRIVER_REGFILE_TIMING_HH
 
 namespace dvi
 {
@@ -65,4 +65,4 @@ struct RegFileTimingModel
 } // namespace timing
 } // namespace dvi
 
-#endif // DVI_TIMING_REGFILE_TIMING_HH
+#endif // DVI_DRIVER_REGFILE_TIMING_HH

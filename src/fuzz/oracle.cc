@@ -412,16 +412,13 @@ runOracle(const prog::Module &mod, const OracleOptions &opts)
         return rep;
     };
 
-    // Structural gate ahead of compilation: Module::validate plus
-    // the analysis framework's IR rules (def-before-use in
-    // particular — minimizer probes that delete a value's only
-    // definition would otherwise panic the register allocator).
-    const std::string verr = mod.validate();
-    if (!verr.empty())
-        return fail("invalid module: " + verr);
-    const std::string uerr = analysis::firstModuleError(mod);
-    if (!uerr.empty())
-        return fail("invalid module: " + uerr);
+    // Structural gate ahead of compilation: the IR rules, which
+    // include Module::validate's structure walk and def-before-use
+    // (minimizer probes that delete a value's only definition would
+    // otherwise panic the register allocator).
+    const std::string merr = analysis::firstModuleError(mod);
+    if (!merr.empty())
+        return fail("invalid module: " + merr);
 
     const comp::Executable plain = comp::compile(
         mod, comp::CompileOptions{comp::EdviPolicy::None});

@@ -105,14 +105,6 @@ Instruction::fadd(RegIndex fd, RegIndex fs1, RegIndex fs2)
 }
 
 Instruction
-Instruction::fmul(RegIndex fd, RegIndex fs1, RegIndex fs2)
-{
-    Instruction i = fadd(fd, fs1, fs2);
-    i.op = Opcode::Fmul;
-    return i;
-}
-
-Instruction
 Instruction::fload(RegIndex fd, RegIndex base, std::int32_t disp)
 {
     Instruction i;

@@ -219,7 +219,6 @@ struct Instruction
     static Instruction liveStore(RegIndex value, RegIndex base,
                                  std::int32_t disp);
     static Instruction fadd(RegIndex fd, RegIndex fs1, RegIndex fs2);
-    static Instruction fmul(RegIndex fd, RegIndex fs1, RegIndex fs2);
     static Instruction fload(RegIndex fd, RegIndex base,
                              std::int32_t disp);
     static Instruction fstore(RegIndex fvalue, RegIndex base,

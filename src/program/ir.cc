@@ -9,6 +9,14 @@ namespace dvi
 namespace prog
 {
 
+std::vector<VReg>
+irUses(const IrInst &inst)
+{
+    std::vector<VReg> uses;
+    forEachUse(inst, [&uses](VReg v) { uses.push_back(v); });
+    return uses;
+}
+
 std::vector<int>
 Procedure::successors(int block) const
 {
@@ -17,26 +25,16 @@ Procedure::successors(int block) const
     const bool has_next =
         next < static_cast<int>(blocks.size());
 
-    if (bb.insts.empty())
+    // Empty or non-terminated blocks fall through; ret and halt
+    // leave the procedure; a conditional branch also falls through.
+    if (bb.insts.empty() || !bb.insts.back().isTerminator())
         return has_next ? std::vector<int>{next} : std::vector<int>{};
-
     const IrInst &last = bb.insts.back();
-    switch (last.op) {
-      case IrOp::Jump:
-        return {last.target};
-      case IrOp::Beq:
-      case IrOp::Bne:
-      case IrOp::Blt:
-      case IrOp::Bge:
-        if (has_next && last.target != next)
-            return {last.target, next};
-        return {last.target};
-      case IrOp::Ret:
-      case IrOp::Halt:
+    if (!(last.info().reads & IrField::target))
         return {};
-      default:
-        return has_next ? std::vector<int>{next} : std::vector<int>{};
-    }
+    if (last.isCondBranch() && has_next && last.target != next)
+        return {last.target, next};
+    return {last.target};
 }
 
 std::size_t
@@ -48,75 +46,160 @@ Procedure::instCount() const
     return n;
 }
 
+namespace
+{
+
+/** The structure walk of one module, collecting every error. */
+class StructureWalk
+{
+  public:
+    explicit StructureWalk(const Module &mod) : mod_(mod) {}
+
+    std::vector<IrError>
+    run()
+    {
+        const int nprocs = static_cast<int>(mod_.procs.size());
+        if (nprocs == 0)
+            add(-1, -1, -1, "module has no procedures");
+        else if (mod_.mainIndex < 0 || mod_.mainIndex >= nprocs)
+            add(-1, -1, -1,
+                "mainIndex " + std::to_string(mod_.mainIndex) +
+                    " out of range");
+        for (int p = 0; p < nprocs; ++p)
+            walkProc(p);
+        return std::move(errors_);
+    }
+
+  private:
+    void
+    add(int p, int b, int i, std::string message,
+        bool cfgUsable = true)
+    {
+        errors_.push_back(
+            IrError{p, b, i, std::move(message), cfgUsable});
+    }
+
+    /** Control structure first, then vreg ranges, so the first
+     * error of a procedure is the one that shapes its CFG. One pass
+     * over the instructions; range errors wait in `ranges`. */
+    void
+    walkProc(int p)
+    {
+        const Procedure &proc = mod_.procs[static_cast<std::size_t>(p)];
+        if (proc.blocks.empty()) {
+            add(p, -1, -1, "procedure has no blocks", false);
+            return;
+        }
+        if (proc.params.size() > 4)
+            add(p, -1, -1,
+                std::to_string(proc.params.size()) +
+                    " parameters exceed the 4-register ABI limit");
+
+        std::vector<IrError> ranges;
+        const auto range = [&](int b, int i, const char *role, VReg v) {
+            ranges.push_back(IrError{p, b, i,
+                                     std::string(role) + " vreg " +
+                                         std::to_string(v) +
+                                         " outside the allocated range",
+                                     true});
+        };
+        for (VReg v : proc.params)
+            if (v == noVReg || v >= proc.nextVReg)
+                range(-1, -1, "parameter", v);
+
+        const int nblocks = static_cast<int>(proc.blocks.size());
+        for (int b = 0; b < nblocks; ++b) {
+            const auto &insts =
+                proc.blocks[static_cast<std::size_t>(b)].insts;
+            const int ninsts = static_cast<int>(insts.size());
+            for (int i = 0; i < ninsts; ++i) {
+                const IrInst &inst = insts[static_cast<std::size_t>(i)];
+                walkControl(p, b, i, inst, i == ninsts - 1);
+                const VReg def = irDef(inst);
+                if (def != noVReg && def >= proc.nextVReg)
+                    range(b, i, "destination", def);
+                forEachUse(inst, [&](VReg u) {
+                    if (u >= proc.nextVReg)
+                        range(b, i, "source", u);
+                });
+            }
+            // A block that does not end in a terminator falls into
+            // the next one, so the last block must end in one.
+            if (b == nblocks - 1 &&
+                (insts.empty() || !insts.back().isTerminator()))
+                add(p, b, -1,
+                    "final block falls off the end of the procedure",
+                    false);
+        }
+        for (IrError &e : ranges)
+            errors_.push_back(std::move(e));
+    }
+
+    void
+    walkControl(int p, int b, int i, const IrInst &inst, bool last)
+    {
+        const int nblocks = static_cast<int>(
+            mod_.procs[static_cast<std::size_t>(p)].blocks.size());
+        const std::uint16_t reads = inst.info().reads;
+        if (inst.isTerminator() && !last)
+            add(p, b, i,
+                "terminator is not the final instruction of its block",
+                false);
+        if ((reads & IrField::target) &&
+            (inst.target < 0 || inst.target >= nblocks))
+            add(p, b, i,
+                "branch target block " + std::to_string(inst.target) +
+                    " out of range",
+                false);
+        if (!(reads & IrField::callee))
+            return;
+        if (inst.callee < 0 ||
+            inst.callee >= static_cast<int>(mod_.procs.size())) {
+            add(p, b, i,
+                "callee index " + std::to_string(inst.callee) +
+                    " out of range");
+            return;
+        }
+        const Procedure &callee =
+            mod_.procs[static_cast<std::size_t>(inst.callee)];
+        if (inst.args.size() > callee.params.size())
+            add(p, b, i,
+                std::to_string(inst.args.size()) +
+                    " call arguments exceed the " +
+                    std::to_string(callee.params.size()) +
+                    " parameters of " + callee.name);
+    }
+
+    const Module &mod_;
+    std::vector<IrError> errors_;
+};
+
+} // namespace
+
+std::vector<IrError>
+Module::structureErrors() const
+{
+    return StructureWalk(*this).run();
+}
+
 std::string
 Module::validate() const
 {
+    const std::vector<IrError> errors = structureErrors();
+    if (errors.empty())
+        return "";
+    const IrError &e = errors.front();
     std::ostringstream err;
-    if (procs.empty())
-        return "module has no procedures";
-    if (mainIndex < 0 || mainIndex >= static_cast<int>(procs.size()))
-        return "mainIndex out of range";
-
-    for (std::size_t pi = 0; pi < procs.size(); ++pi) {
-        const Procedure &p = procs[pi];
-        if (p.blocks.empty()) {
-            err << "proc " << p.name << ": no blocks";
-            return err.str();
-        }
-        if (p.params.size() > 4) {
-            err << "proc " << p.name << ": more than 4 parameters";
-            return err.str();
-        }
-        for (std::size_t bi = 0; bi < p.blocks.size(); ++bi) {
-            const auto &bb = p.blocks[bi];
-            for (std::size_t ii = 0; ii < bb.insts.size(); ++ii) {
-                const IrInst &inst = bb.insts[ii];
-                if (inst.isTerminator() &&
-                    ii + 1 != bb.insts.size()) {
-                    err << "proc " << p.name << " block " << bi
-                        << ": terminator not last";
-                    return err.str();
-                }
-                if ((inst.isCondBranch() || inst.op == IrOp::Jump) &&
-                    (inst.target < 0 ||
-                     inst.target >=
-                         static_cast<int>(p.blocks.size()))) {
-                    err << "proc " << p.name << " block " << bi
-                        << ": branch target out of range";
-                    return err.str();
-                }
-                if (inst.op == IrOp::Call) {
-                    if (inst.callee < 0 ||
-                        inst.callee >=
-                            static_cast<int>(procs.size())) {
-                        err << "proc " << p.name << " block " << bi
-                            << ": callee out of range";
-                        return err.str();
-                    }
-                    if (inst.args.size() >
-                        procs[static_cast<std::size_t>(inst.callee)]
-                            .params.size()) {
-                        err << "proc " << p.name << " block " << bi
-                            << ": too many call arguments for "
-                            << procs[static_cast<std::size_t>(
-                                         inst.callee)]
-                                   .name;
-                        return err.str();
-                    }
-                }
-            }
-            // A block that does not end in a terminator must have a
-            // following block to fall into.
-            const bool terminated =
-                !bb.insts.empty() && bb.insts.back().isTerminator();
-            if (!terminated && bi + 1 == p.blocks.size()) {
-                err << "proc " << p.name
-                    << ": final block falls off the end";
-                return err.str();
-            }
-        }
+    if (e.proc >= 0) {
+        err << "proc " << procs[static_cast<std::size_t>(e.proc)].name;
+        if (e.block >= 0)
+            err << " block " << e.block;
+        if (e.inst >= 0)
+            err << " inst " << e.inst;
+        err << ": ";
     }
-    return "";
+    err << e.message;
+    return err.str();
 }
 
 IrInst

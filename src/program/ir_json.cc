@@ -1,8 +1,7 @@
 #include "program/ir_json.hh"
 
 #include <cstdint>
-
-#include "base/logging.hh"
+#include <iterator>
 
 namespace dvi
 {
@@ -12,53 +11,12 @@ namespace prog
 namespace
 {
 
-struct OpToken
-{
-    IrOp op;
-    const char *name;
-};
-
-const OpToken opTokens[] = {
-    {IrOp::Add, "add"},
-    {IrOp::Sub, "sub"},
-    {IrOp::Mul, "mul"},
-    {IrOp::Div, "div"},
-    {IrOp::And, "and"},
-    {IrOp::Or, "or"},
-    {IrOp::Xor, "xor"},
-    {IrOp::Slt, "slt"},
-    {IrOp::Sll, "sll"},
-    {IrOp::Srl, "srl"},
-    {IrOp::AddImm, "addimm"},
-    {IrOp::AndImm, "andimm"},
-    {IrOp::OrImm, "orimm"},
-    {IrOp::XorImm, "xorimm"},
-    {IrOp::SltImm, "sltimm"},
-    {IrOp::LoadImm, "loadimm"},
-    {IrOp::Load, "load"},
-    {IrOp::Store, "store"},
-    {IrOp::LoadStack, "loadstack"},
-    {IrOp::StoreStack, "storestack"},
-    {IrOp::Fadd, "fadd"},
-    {IrOp::Fmul, "fmul"},
-    {IrOp::FloadStack, "floadstack"},
-    {IrOp::FstoreStack, "fstorestack"},
-    {IrOp::Beq, "beq"},
-    {IrOp::Bne, "bne"},
-    {IrOp::Blt, "blt"},
-    {IrOp::Bge, "bge"},
-    {IrOp::Jump, "jump"},
-    {IrOp::Call, "call"},
-    {IrOp::Ret, "ret"},
-    {IrOp::Halt, "halt"},
-};
-
 bool
 parseOp(const std::string &name, IrOp *out)
 {
-    for (const OpToken &t : opTokens) {
-        if (name == t.name) {
-            *out = t.op;
+    for (unsigned op = 0; op < std::size(IrOpInfo::table); ++op) {
+        if (name == IrOpInfo::table[op].token) {
+            *out = static_cast<IrOp>(op);
             return true;
         }
     }
@@ -193,10 +151,7 @@ instFromJson(const json::Value &v, IrInst &inst)
 std::string
 irOpName(IrOp op)
 {
-    for (const OpToken &t : opTokens)
-        if (t.op == op)
-            return t.name;
-    panic("irOpName: unknown IrOp ", static_cast<int>(op));
+    return IrOpInfo::table[static_cast<unsigned>(op)].token;
 }
 
 json::Value

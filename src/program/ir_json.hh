@@ -9,7 +9,8 @@
  *
  * Encoding: each instruction is a compact array
  *   [op, dst, src1, src2, imm, target, callee, [args...], fd, fs1, fs2]
- * with trailing default fields omitted (defaults: registers 0,
+ * where op is the op table's token (DVI_IR_OPS), with trailing
+ * default fields omitted (defaults: registers 0,
  * imm 0, target/callee -1, args empty). Emission is deterministic
  * (base/json), so load -> emit round-trips byte-identically.
  */
@@ -36,7 +37,9 @@ json::Value moduleToJson(const Module &m);
 /**
  * Load a module from its JSON form. Returns "" on success or a
  * diagnostic naming the offending procedure/block/instruction. The
- * loaded module is structurally validated (Module::validate).
+ * loaded module passes Module::validate, the structure walk lint's
+ * ir-structure rule also reports from, so a repro never reaches the
+ * compiler with a vreg beyond its procedure's nextVReg.
  */
 std::string moduleFromJson(const json::Value &v, Module &out);
 

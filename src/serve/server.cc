@@ -459,16 +459,19 @@ DviServer::runCampaign(const std::shared_ptr<CampaignSession> &s)
             campaign.run(pool_, copts);
         // Roll per-job fault accounting up into the server-wide
         // registry so /metrics tells the fleet story across
-        // campaigns.
+        // campaigns. Watchdog fires are the driver's own count of
+        // wall-clock deadlines that passed, read before the terminal
+        // transition frees the session's registry: a budget-exceeded
+        // job may also be an instruction cap or a cancellation.
         std::uint64_t retried = 0, quarantined = 0, wdFires = 0;
         for (const driver::JobResult &r : report.results) {
             retried += r.retries;
-            if (r.failed) {
+            if (r.failed)
                 ++quarantined;
-                if (r.error.kind == base::FaultKind::BudgetExceeded)
-                    ++wdFires;
-            }
         }
+        for (const auto &g : s->metrics().snapshot().gauges)
+            if (g.first == "campaign.watchdogFires")
+                wdFires = g.second;
         if (retried)
             metrics_.add(mids_->jobsRetried, retried);
         if (quarantined)

@@ -300,6 +300,35 @@ TEST(IrChecks, DeadStoreIsAdvisoryOnly)
     EXPECT_FALSE(adv.failing());
 }
 
+TEST(IrChecks, ValidateAndLintBothRejectExcessCallArgs)
+{
+    // main passes two args to a one-parameter procedure.
+    prog::Module mod = cleanModule();
+    prog::Procedure callee;
+    callee.name = "callee";
+    callee.params.push_back(callee.newVReg());
+    callee.emit(callee.newBlock(), prog::irRet());
+    mod.procs.push_back(std::move(callee));
+    prog::Procedure &main = mod.procs[0];
+    auto &insts = main.blocks[0].insts;
+    insts.insert(insts.end() - 1, prog::irCall(1, {1, 2}));
+
+    EXPECT_NE(mod.validate(), "");
+    EXPECT_NE(analysis::firstModuleError(mod), "");
+}
+
+TEST(IrChecks, ValidateAndLintBothRejectReadBeyondNextVReg)
+{
+    prog::Module mod = cleanModule();
+    prog::Procedure &main = mod.procs[0];
+    auto &insts = main.blocks[0].insts;
+    insts.insert(insts.end() - 1, prog::irStoreStack(7, 0));
+    ASSERT_LT(main.nextVReg, 7u);
+
+    EXPECT_NE(mod.validate(), "");
+    EXPECT_NE(analysis::firstModuleError(mod), "");
+}
+
 // -------------------------------------------------- machine rules
 
 namespace

@@ -9,17 +9,20 @@ files into the current directory. CMake registers every check as
 ctest entry `cli_CHECK`, each in its own directory under the build
 tree, so every build type and sanitizer leg runs all of them:
 
-  determinism  reports are byte-identical across --jobs 1 and 2
-  telemetry    captures validate; telemetry changes no report byte
-  manifest     emit -> run, report replay and --set on both sources
-  chaos        transient faults retry away; a permanent one degrades
-  fuzz         clean fuzz campaigns; an injected fault is caught and
-               its repro replays byte for byte
-  lint         lint telemetry validates; a --lint campaign runs
-  serve        a live dvi-serve matches local runs, reuses its
-               compile cache, streams valid events, stops on SIGINT
-  golden       dvi-golden regenerates tests/uarch_golden_values.inc
-  flags        malformed flag values and combinations are rejected
+  determinism     reports are byte-identical across --jobs 1 and 2
+  telemetry       dvi-run captures validate; telemetry changes no
+                  report byte
+  telemetry_fuzz  a dvi-fuzz capture validates
+  manifest        emit -> run, report replay and --set on both sources
+  chaos           transient faults retry away; a permanent one degrades
+  fuzz            clean fuzz campaigns on two seeds
+  fuzz_fault      an injected fault is caught and its repro replays
+                  byte for byte
+  lint            lint telemetry validates; a --lint campaign runs
+  serve           a live dvi-serve matches local runs, reuses its
+                  compile cache, streams valid events, stops on SIGINT
+  golden          dvi-golden regenerates tests/uarch_golden_values.inc
+  flags           malformed flag values and combinations are rejected
 
 Captures are validated and the server is driven in this process by
 importing tools/check_telemetry.py and tools/serve_client.py. Exit
@@ -109,6 +112,9 @@ def telemetry():
         "--quiet")
     same("with-telemetry.json", "no-telemetry.json")
 
+
+def telemetry_fuzz():
+    """A fuzz campaign's capture validates."""
     run("dvi-fuzz", "--seed", "1", "--programs", "50", "--max-insts",
         "40000", "--telemetry", "fuzz.ndjson")
     captures_valid(["fuzz.ndjson"],
@@ -176,13 +182,16 @@ def chaos():
 
 
 def fuzz():
-    """Fixed-seed campaigns find nothing; an injected kill-mask fault
-    is found and its first repro reproduces byte for byte."""
+    """Fixed-seed campaigns find nothing."""
     run("dvi-fuzz", "--seed", "1", "--programs", "200",
         "--max-insts", "60000")
     run("dvi-fuzz", "--seed", "2", "--programs", "100",
         "--max-insts", "40000")
 
+
+def fuzz_fault():
+    """An injected kill-mask fault is found and its first repro
+    reproduces byte for byte."""
     for stale in glob.glob("fault-*.json"):
         os.remove(stale)
     run("dvi-fuzz", "--seed", "1", "--programs", "10", "--max-insts",
@@ -342,9 +351,10 @@ def flags():
                               f"{proc.stderr}")
 
 
-CHECKS = {fn.__name__: fn for fn in (determinism, telemetry, manifest,
-                                     chaos, fuzz, lint, serve, golden,
-                                     flags)}
+CHECKS = {fn.__name__: fn for fn in (determinism, telemetry,
+                                     telemetry_fuzz, manifest, chaos,
+                                     fuzz, fuzz_fault, lint, serve,
+                                     golden, flags)}
 
 
 def main():

@@ -127,6 +127,30 @@ TEST(IrJson, RejectsMalformedDocuments)
     EXPECT_NE(moduleFromJson(obj, out), "");  // missing everything
 }
 
+TEST(IrJson, RejectsReadBeyondNextVRegNamingItsSite)
+{
+    // Serialization does not validate, so a repro can carry a read of
+    // a vreg the procedure never allocated; loading must refuse it.
+    prog::Module mod;
+    mod.name = "stray-read";
+    mod.procs.resize(1);
+    prog::Procedure &main = mod.procs[0];
+    main.name = "main";
+    main.numLocalSlots = 1;
+    const int b = main.newBlock();
+    const prog::VReg v = main.newVReg();
+    main.emit(b, prog::irLoadImm(v, 1));
+    main.emit(b, prog::irStoreStack(7, 0));  // nextVReg is 2
+    main.emit(b, prog::irHalt());
+
+    prog::Module out;
+    const std::string err =
+        prog::moduleFromJson(prog::moduleToJson(mod), out);
+    EXPECT_NE(err.find("proc main block 0 inst 1"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("vreg 7"), std::string::npos) << err;
+}
+
 TEST(Oracle, PassesOnGeneratedPrograms)
 {
     fuzz::FuzzConfig cfg;

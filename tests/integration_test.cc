@@ -10,9 +10,9 @@
 #include "arch/emulator.hh"
 #include "compiler/compile.hh"
 #include "compiler/rewriter.hh"
+#include "driver/regfile_timing.hh"
 #include "os/scheduler.hh"
 #include "sim/scenario.hh"
-#include "timing/regfile_timing.hh"
 #include "uarch/core.hh"
 #include "workload/benchmarks.hh"
 

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "analysis/ir_checks.hh"
+#include "compiler/compile.hh"
 #include "compiler/liveness.hh"
 #include "program/ir.hh"
+#include "program/ir_json.hh"
 
 namespace dvi
 {
@@ -35,6 +40,154 @@ TEST(IrUsesDefs, PerOpcode)
               (std::vector<VReg>{1, 2}));
     EXPECT_EQ(irUses(irStoreStack(4, 0)), (std::vector<VReg>{4}));
     EXPECT_EQ(irDef(irLoadStack(4, 0)), 4u);
+}
+
+/** What every IR op reads, writes and lowers to, written out by hand
+ * as an independent check of the IR op table. */
+struct OpFacts
+{
+    IrOp op;
+    std::vector<VReg> uses;  ///< irUses, in order
+    VReg def;                ///< irDef
+    bool terminator;
+    bool condBranch;
+    const char *token;     ///< JSON token
+    const char *mnemonic;  ///< lowered machine op; "" = not pinned
+    bool deadStore;        ///< ir-dead-store fires on an unread def
+};
+
+const std::vector<OpFacts> &
+opFacts()
+{
+    static const std::vector<OpFacts> facts = {
+        {IrOp::Add, {4, 5}, 3, false, false, "add", "add", true},
+        {IrOp::Sub, {4, 5}, 3, false, false, "sub", "sub", true},
+        {IrOp::Mul, {4, 5}, 3, false, false, "mul", "mul", true},
+        {IrOp::Div, {4, 5}, 3, false, false, "div", "div", true},
+        {IrOp::And, {4, 5}, 3, false, false, "and", "and", true},
+        {IrOp::Or, {4, 5}, 3, false, false, "or", "or", true},
+        {IrOp::Xor, {4, 5}, 3, false, false, "xor", "xor", true},
+        {IrOp::Slt, {4, 5}, 3, false, false, "slt", "slt", true},
+        {IrOp::Sll, {4, 5}, 3, false, false, "sll", "sll", true},
+        {IrOp::Srl, {4, 5}, 3, false, false, "srl", "srl", true},
+        {IrOp::AddImm, {4}, 3, false, false, "addimm", "addi", true},
+        {IrOp::AndImm, {4}, 3, false, false, "andimm", "andi", true},
+        {IrOp::OrImm, {4}, 3, false, false, "orimm", "ori", true},
+        {IrOp::XorImm, {4}, 3, false, false, "xorimm", "xori", true},
+        {IrOp::SltImm, {4}, 3, false, false, "sltimm", "slti", true},
+        {IrOp::LoadImm, {}, 3, false, false, "loadimm", "", true},
+        {IrOp::Load, {4}, 3, false, false, "load", "", false},
+        {IrOp::Store, {4, 5}, noVReg, false, false, "store", "", false},
+        {IrOp::LoadStack, {}, 3, false, false, "loadstack", "", true},
+        {IrOp::StoreStack, {4}, noVReg, false, false, "storestack", "",
+         false},
+        {IrOp::Fadd, {}, noVReg, false, false, "fadd", "fadd", false},
+        {IrOp::Fmul, {}, noVReg, false, false, "fmul", "fmul", false},
+        {IrOp::FloadStack, {}, noVReg, false, false, "floadstack",
+         "fld", false},
+        {IrOp::FstoreStack, {}, noVReg, false, false, "fstorestack",
+         "fst", false},
+        {IrOp::Beq, {4, 5}, noVReg, true, true, "beq", "beq", false},
+        {IrOp::Bne, {4, 5}, noVReg, true, true, "bne", "bne", false},
+        {IrOp::Blt, {4, 5}, noVReg, true, true, "blt", "blt", false},
+        {IrOp::Bge, {4, 5}, noVReg, true, true, "bge", "bge", false},
+        {IrOp::Jump, {}, noVReg, true, false, "jump", "", false},
+        {IrOp::Call, {6, 7}, 3, false, false, "call", "", false},
+        {IrOp::Ret, {4}, noVReg, true, false, "ret", "", false},
+        {IrOp::Halt, {}, noVReg, true, false, "halt", "", false},
+    };
+    return facts;
+}
+
+/** Every operand field set, so each op shows which ones it reads. */
+IrInst
+fullInst(IrOp op)
+{
+    IrInst i;
+    i.op = op;
+    i.dst = 3;
+    i.src1 = 4;
+    i.src2 = 5;
+    i.imm = 0x70;
+    i.target = 1;
+    i.callee = 0;
+    i.args = {6, 7};
+    i.fd = 1;
+    i.fs1 = 2;
+    i.fs2 = 3;
+    return i;
+}
+
+/**
+ * Proc 0 takes two params and returns; proc 1 (main) defines vregs
+ * 4..7, runs `body` (if any), halts, and has a block 1 to branch to.
+ * Vreg 3 is never read.
+ */
+Module
+oneOpModule(const IrInst *body)
+{
+    Module mod;
+    mod.name = "one-op";
+    mod.mainIndex = 1;
+    Procedure callee;
+    callee.name = "callee";
+    callee.params = {callee.newVReg(), callee.newVReg()};
+    callee.emit(callee.newBlock(), irRet());
+    Procedure main;
+    main.name = "main";
+    main.nextVReg = 8;
+    main.numLocalSlots = 1;
+    const int b0 = main.newBlock();
+    const int b1 = main.newBlock();
+    for (VReg v = 4; v <= 7; ++v)
+        main.emit(b0, irLoadImm(v, 0x70));
+    if (body)
+        main.emit(b0, *body);
+    if (!body || !body->isTerminator())
+        main.emit(b0, irHalt());
+    main.emit(b1, irHalt());
+    mod.procs.push_back(std::move(callee));
+    mod.procs.push_back(std::move(main));
+    return mod;
+}
+
+/** Mnemonic of the first machine instruction `inst` lowers to. */
+std::string
+loweredMnemonic(const IrInst &inst)
+{
+    const Executable ref = compile(oneOpModule(nullptr));
+    const Executable exe = compile(oneOpModule(&inst));
+    // Both lower the same prologue and loads up to the op.
+    const int at = ref.procs[1].end - 2;  // main's first halt
+    const std::string text =
+        exe.code[static_cast<std::size_t>(at)].toString();
+    return text.substr(0, text.find(' '));
+}
+
+TEST(IrUsesDefs, EveryOpMatchesTheLiteralTable)
+{
+    ASSERT_EQ(opFacts().size(), 32u);
+    for (const OpFacts &f : opFacts()) {
+        const IrInst inst = fullInst(f.op);
+        SCOPED_TRACE(f.token);
+        EXPECT_EQ(irUses(inst), f.uses);
+        EXPECT_EQ(irDef(inst), f.def);
+        EXPECT_EQ(inst.isTerminator(), f.terminator);
+        EXPECT_EQ(inst.isCondBranch(), f.condBranch);
+        EXPECT_EQ(irOpName(f.op), f.token);
+        if (*f.mnemonic) {
+            EXPECT_EQ(loweredMnemonic(inst), f.mnemonic);
+        }
+
+        const analysis::FindingReport lint =
+            analysis::checkModule(oneOpModule(&inst), true);
+        std::size_t deadStores = 0;
+        for (const analysis::Finding &finding : lint.findings())
+            if (finding.rule == "ir-dead-store" &&
+                finding.message.find("vreg 3 ") != std::string::npos)
+                ++deadStores;
+        EXPECT_EQ(deadStores, f.deadStore ? 1u : 0u);
+    }
 }
 
 TEST(Liveness, StraightLine)

@@ -598,6 +598,41 @@ TEST_F(ServeChaos, DegradedCampaignServesReportWithErrorRecords)
     server.shutdown();
 }
 
+TEST_F(ServeChaos, InstructionCapIsQuarantinedButNoWatchdogFire)
+{
+    serve::ServeOptions opts;
+    opts.port = 0;
+    serve::DviServer server(opts);
+    server.start();
+
+    // hardMaxInsts faults the job as budget-exceeded with no
+    // wall-clock deadline set: quarantined, yet no watchdog fired.
+    sim::CampaignManifest m;
+    m.name = "capped";
+    sim::Scenario s;
+    s.runner = "oracle";
+    s.workload = workload::BenchmarkId::Li;
+    s.budget.maxInsts = 0;
+    s.budget.hardMaxInsts = 1000;
+    m.scenarios.push_back(s);
+    ASSERT_EQ(httpRequest(server.port(), "POST", "/campaigns",
+                          sim::manifestToJson(m))
+                  .status,
+              202);
+    awaitState(server.port(), "c1", "done");
+
+    const ClientResponse metrics =
+        httpRequest(server.port(), "GET", "/metrics");
+    ASSERT_EQ(metrics.status, 200);
+    EXPECT_NE(metrics.body.find("\"serve.jobsQuarantined\": 1"),
+              std::string::npos)
+        << metrics.body;
+    EXPECT_NE(metrics.body.find("\"serve.watchdogFires\": 0"),
+              std::string::npos)
+        << metrics.body;
+    server.shutdown();
+}
+
 TEST_F(ServeChaos, RequestFaultIs500ButHealthzIsExempt)
 {
     serve::ServeOptions opts;

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "timing/regfile_timing.hh"
+#include "driver/regfile_timing.hh"
 
 namespace dvi
 {

@@ -32,6 +32,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/lint.hh"
@@ -49,6 +50,20 @@ using namespace dvi;
 
 namespace
 {
+
+/** Calls `f` once, when the guard goes out of scope. */
+template <typename F>
+class OnExit
+{
+  public:
+    explicit OnExit(F f) : f_(std::move(f)) {}
+    ~OnExit() { f_(); }
+    OnExit(const OnExit &) = delete;
+    OnExit &operator=(const OnExit &) = delete;
+
+  private:
+    F f_;
+};
 
 void
 usage(const char *argv0)
@@ -413,6 +428,18 @@ main(int argc, char **argv)
             flusher = std::make_unique<obs::MetricFlusher>(
                 metrics, *sink, metrics_interval);
     }
+    // Every exit from here on ends telemetry the same way: stop the
+    // periodic flusher, write the final metrics event (after the
+    // aggregate phase on a normal run) and detach the global sink
+    // before it dies.
+    const OnExit endTelemetry([&] {
+        flusher.reset();
+        if (sink) {
+            metrics.flush(*sink);
+            obs::setGlobalSink(nullptr);
+            obs::setCoreSampleInsts(0);
+        }
+    });
 
     // ------------------------------------------- pre-launch lint
     // Statically verify every distinct (benchmark, policy) binary
@@ -430,12 +457,6 @@ main(int argc, char **argv)
         findings.emitTelemetry(sink.get(), run.units());
         if (findings.failing()) {
             findings.toTable("pre-launch lint findings").print();
-            flusher.reset();
-            if (sink) {
-                metrics.flush(*sink);
-                obs::setGlobalSink(nullptr);
-                obs::setCoreSampleInsts(0);
-            }
             std::fprintf(
                 stderr,
                 "dvi-run: --lint found %zu finding(s) across %zu "
@@ -462,30 +483,17 @@ main(int argc, char **argv)
         report = campaign.run(copts);
     } catch (const std::exception &e) {
         // A campaign-level fault (aggregation, pool teardown) is
-        // beyond per-job isolation; flush telemetry and report it
-        // as a hard failure.
-        flusher.reset();
-        if (sink) {
-            metrics.flush(*sink);
-            obs::setGlobalSink(nullptr);
-            obs::setCoreSampleInsts(0);
-        }
+        // beyond per-job isolation; report it as a hard failure.
         std::fprintf(stderr, "dvi-run: campaign %s failed: %s\n",
                      campaign.name().c_str(), e.what());
         return 1;
     }
     const auto t1 = std::chrono::steady_clock::now();
-    flusher.reset();
 
     // An interrupted campaign has well-formed telemetry but a
     // partial result set; emitting the report would look complete,
     // so it is withheld and the interruption is announced instead.
     if (report.cancelled) {
-        if (sink) {
-            metrics.flush(*sink);
-            obs::setGlobalSink(nullptr);
-            obs::setCoreSampleInsts(0);
-        }
         std::fprintf(stderr,
                      "dvi-run: interrupted; campaign %s stopped "
                      "before all %zu job(s) ran, report not written\n",
@@ -506,11 +514,6 @@ main(int argc, char **argv)
         }
         if (!out_path.empty())
             report.writeFile(out_path, fmt);
-    }
-    if (sink) {
-        metrics.flush(*sink);
-        obs::setGlobalSink(nullptr);
-        obs::setCoreSampleInsts(0);
     }
 
     // Wall-clock goes to stderr so report files and stdout captures
