@@ -9,6 +9,35 @@ namespace dvi
 namespace analysis
 {
 
+namespace
+{
+
+/** One finding as the JSON report's element and the `lint` event's
+ * payload. */
+json::Value
+findingJson(const Finding &f)
+{
+    json::Value o = json::Value::object();
+    o.set("severity", severityName(f.severity));
+    o.set("rule", f.rule);
+    o.set("unit", f.site.unit);
+    if (!f.site.proc.empty())
+        o.set("proc", f.site.proc);
+    if (f.site.machine) {
+        if (f.site.inst >= 0)
+            o.set("pc", static_cast<std::uint64_t>(f.site.inst));
+    } else {
+        if (f.site.block >= 0)
+            o.set("block", static_cast<std::uint64_t>(f.site.block));
+        if (f.site.inst >= 0)
+            o.set("inst", static_cast<std::uint64_t>(f.site.inst));
+    }
+    o.set("message", f.message);
+    return o;
+}
+
+} // namespace
+
 const char *
 severityName(Severity s)
 {
@@ -107,28 +136,8 @@ json::Value
 FindingReport::toJson() const
 {
     json::Value arr = json::Value::array();
-    for (const Finding &f : findings_) {
-        json::Value o = json::Value::object();
-        o.set("severity", severityName(f.severity));
-        o.set("rule", f.rule);
-        o.set("unit", f.site.unit);
-        if (!f.site.proc.empty())
-            o.set("proc", f.site.proc);
-        if (f.site.machine) {
-            if (f.site.inst >= 0)
-                o.set("pc",
-                      static_cast<std::uint64_t>(f.site.inst));
-        } else {
-            if (f.site.block >= 0)
-                o.set("block",
-                      static_cast<std::uint64_t>(f.site.block));
-            if (f.site.inst >= 0)
-                o.set("inst",
-                      static_cast<std::uint64_t>(f.site.inst));
-        }
-        o.set("message", f.message);
-        arr.push(std::move(o));
-    }
+    for (const Finding &f : findings_)
+        arr.push(findingJson(f));
     json::Value root = json::Value::object();
     root.set("findings", std::move(arr));
     root.set("errors",
@@ -146,28 +155,8 @@ FindingReport::emitTelemetry(obs::TelemetrySink *sink,
 {
     if (!sink)
         return;
-    for (const Finding &f : findings_) {
-        json::Value p = json::Value::object();
-        p.set("severity", severityName(f.severity));
-        p.set("rule", f.rule);
-        p.set("unit", f.site.unit);
-        if (!f.site.proc.empty())
-            p.set("proc", f.site.proc);
-        if (f.site.machine) {
-            if (f.site.inst >= 0)
-                p.set("pc",
-                      static_cast<std::uint64_t>(f.site.inst));
-        } else {
-            if (f.site.block >= 0)
-                p.set("block",
-                      static_cast<std::uint64_t>(f.site.block));
-            if (f.site.inst >= 0)
-                p.set("inst",
-                      static_cast<std::uint64_t>(f.site.inst));
-        }
-        p.set("message", f.message);
-        sink->event("lint", std::move(p));
-    }
+    for (const Finding &f : findings_)
+        sink->event("lint", findingJson(f));
     json::Value s = json::Value::object();
     s.set("units", static_cast<std::uint64_t>(units));
     s.set("findings", static_cast<std::uint64_t>(findings_.size()));

@@ -139,31 +139,8 @@ blockPrefixStats(const XBlock &b, std::uint32_t n)
     return s;
 }
 
-std::uint64_t
-TranslatedProgram::hashCode(const comp::Executable &exe)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v, unsigned bytes) {
-        for (unsigned i = 0; i < bytes; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(static_cast<std::uint64_t>(exe.code.size()), 8);
-    mix(static_cast<std::uint64_t>(exe.entry), 4);
-    for (const Instruction &inst : exe.code) {
-        mix(static_cast<std::uint64_t>(inst.op), 1);
-        mix(inst.rd, 1);
-        mix(inst.rs1, 1);
-        mix(inst.rs2, 1);
-        mix(static_cast<std::uint32_t>(inst.imm), 4);
-    }
-    return h;
-}
-
 TranslatedProgram::TranslatedProgram(const comp::Executable &exe)
-    : code_(exe.code), entry_(exe.entry), hash_(hashCode(exe)),
-      table_(exe.code.size())
+    : code_(exe.code), entry_(exe.entry), table_(exe.code.size())
 {
     decoded_.reserve(code_.size());
     for (const Instruction &inst : code_)

@@ -179,8 +179,6 @@ class TranslatedProgram
     TranslatedProgram &operator=(const TranslatedProgram &) = delete;
 
     std::size_t codeSize() const { return code_.size(); }
-    /** FNV-1a of the image, computed once at admission. */
-    std::uint64_t codeHash() const { return hash_; }
 
     /** Exact content comparison against `exe` (size first, then the
      * code bytes): the cache finds and admits programs by content, so
@@ -214,9 +212,6 @@ class TranslatedProgram
     /** Number of distinct blocks translated so far. */
     std::size_t blockCount() const;
 
-    /** FNV-1a over the code image + entry. */
-    static std::uint64_t hashCode(const comp::Executable &exe);
-
   private:
     /** Miss path of getOrTranslate: translate and publish under the
      * mutex. */
@@ -224,7 +219,6 @@ class TranslatedProgram
 
     const std::vector<isa::Instruction> code_;
     const int entry_;
-    const std::uint64_t hash_;
     std::vector<isa::DecodedInst> decoded_;
 
     /** One slot per pc; null until that leader is translated. */

@@ -1,21 +1,36 @@
 /**
  * @file
- * Tiny helpers shared by the CLI front ends (dvi-run, dvi-fuzz,
- * dvi-lint, dvi-serve): strict argument parsing and whole-file
- * slurping, both fatal() on error with the offending flag or path
- * named.
+ * The one command-line front end of the tools (dvi-run, dvi-fuzz,
+ * dvi-lint, dvi-serve).
+ *
+ * A tool declares each flag once, as a row of a table: its name, its
+ * value's placeholder, its help text and its action. One Parser runs
+ * the actions in command-line order and prints --help from the same
+ * rows, so the help cannot drift from what the parser accepts. Rows
+ * the tools share sit beside what they configure: --seed
+ * (base/test_seed), --chaos (base/failpoint), --inject-kill-bit
+ * (fuzz/oracle) and the telemetry rows (obs/cli_telemetry).
+ *
+ * Also here: strict integer and fraction parsing and whole-file
+ * reads and writes, fatal() on error with the flag or path named,
+ * and the SIGINT/SIGTERM stop flag.
  */
 
 #ifndef DVI_BASE_CLI_HH
 #define DVI_BASE_CLI_HH
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "base/logging.hh"
 
@@ -70,6 +85,97 @@ readFile(const std::string &path)
     fatal_if(!in, "read from '", path, "' failed");
     return buf.str();
 }
+
+/** Write `text` to `path`; fatal when it cannot be opened or
+ * written. */
+inline void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::binary);
+    fatal_if(!out, "cannot open '", path, "' for writing");
+    out << text;
+    out.flush();
+    fatal_if(!out, "write to '", path, "' failed");
+}
+
+/** What a flag's action receives: the flag's name, for messages,
+ * and its value (nullptr for a switch). */
+struct Arg
+{
+    const char *flag;
+    const char *text;
+};
+
+using Action = std::function<void(const Arg &)>;
+
+/** One row of a tool's flag table. */
+struct Flag
+{
+    std::string name;   ///< "--jobs"; empty for a heading row
+    std::string value;  ///< the value's placeholder; empty for a switch
+    std::string help;   ///< one paragraph, wrapped by --help
+    Action act;
+};
+
+/** A heading row: --help prints `text` on a line of its own. */
+inline Flag
+heading(std::string text)
+{
+    return {"", "", std::move(text), nullptr};
+}
+
+/** The action storing the value in `out`, parsed by out's type: text,
+ * a fraction (parseFraction) or an integer (parseUint); an optional
+ * integer is set only when its flag is given. */
+template <typename T>
+Action
+store(T &out)
+{
+    return [&out](const Arg &a) {
+        if constexpr (std::is_same_v<T, std::string>)
+            out = a.text;
+        else if constexpr (std::is_same_v<T, double>)
+            out = parseFraction(a.flag, a.text);
+        else
+            out = parseUint<T>(a.flag, a.text);
+    };
+}
+
+template <typename T>
+Action
+store(std::optional<T> &out)
+{
+    return [&out](const Arg &a) { out = parseUint<T>(a.flag, a.text); };
+}
+
+/** The action of a switch: set `out` to `value`. */
+inline Action
+set(bool &out, bool value = true)
+{
+    return [&out, value](const Arg &) { out = value; };
+}
+
+/** A tool's command line: its synopsis forms (without the program
+ * name), its flag table and the text --help ends with. */
+struct Parser
+{
+    std::vector<std::string> synopsis;
+    std::vector<Flag> flags;
+    std::string epilogue = {};
+
+    /** Act on each argument in command-line order. --help or -h
+     * prints the help and exits 0; the first unknown argument,
+     * missing value or bad value exits 1 naming it. */
+    void parse(int argc, char **argv) const;
+
+    /** Print the synopsis, every row and the epilogue to stdout. */
+    void printHelp(const char *argv0) const;
+};
+
+/** Make SIGINT and SIGTERM raise the returned flag (the handler does
+ * nothing else, so it is async-signal-safe); the tool polls it or
+ * hands it to its jobs as their cancel flag. */
+const std::atomic<bool> &stopOnSignal();
 
 } // namespace cli
 } // namespace dvi

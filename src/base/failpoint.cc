@@ -206,6 +206,19 @@ configureFromEnv()
     return configure(spec);
 }
 
+cli::Flag
+chaosFlag(const char *help, std::string *given)
+{
+    const std::string err = configureFromEnv();
+    fatal_if(!err.empty(), "DVI_CHAOS: ", err);
+    return {"--chaos", "SPEC", help, [given](const cli::Arg &a) {
+                const std::string err = configure(a.text);
+                fatal_if(!err.empty(), "--chaos: ", err);
+                if (given)
+                    *given = a.text;
+            }};
+}
+
 void
 reset()
 {

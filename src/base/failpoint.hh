@@ -54,6 +54,8 @@
 #include <cstdint>
 #include <string>
 
+#include "base/cli.hh"
+
 namespace dvi
 {
 namespace fail
@@ -71,6 +73,14 @@ std::string configure(const std::string &spec);
  * Returns "" when unset or valid, else the diagnostic.
  */
 std::string configureFromEnv();
+
+/**
+ * A tool's chaos arming, in command-line order: arm from DVI_CHAOS
+ * now (fatal on a bad spec) and return the --chaos SPEC row, which
+ * where it appears arms SPEC in its place (fatal on a bad one) and
+ * records it in `*given` when that is set.
+ */
+cli::Flag chaosFlag(const char *help, std::string *given = nullptr);
 
 /** Disarm every site and forget the spec (tests call this in
  * teardown — failpoint state is process-global). */

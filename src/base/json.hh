@@ -29,7 +29,9 @@
 #define DVI_BASE_JSON_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -138,6 +140,30 @@ std::string escape(const std::string &s);
  * policy above). Identical input bits give identical text.
  */
 std::string formatDouble(double v);
+
+/**
+ * Read an unsigned JSON integer into the integral type T. Returns ""
+ * and sets `out` on success, else the reason without the field's
+ * path: the value is not an unsigned integer, or it exceeds T's
+ * maximum (so no loader narrows a value silently).
+ */
+template <typename T,
+          std::enable_if_t<std::is_integral_v<T> &&
+                               !std::is_same_v<T, bool>,
+                           int> = 0>
+std::string
+decode(const Value &v, T &out)
+{
+    if (!v.isU64())
+        return std::string("expected an unsigned integer, got ") +
+               v.typeName();
+    constexpr auto max = std::numeric_limits<T>::max();
+    if (v.u64() > static_cast<std::uint64_t>(max))
+        return "value " + std::to_string(v.u64()) +
+               " is out of range (max " + std::to_string(max) + ")";
+    out = static_cast<T>(v.u64());
+    return "";
+}
 
 /** Outcome of parse(): either a value or a positioned error. */
 struct ParseResult

@@ -15,6 +15,9 @@
 #define DVI_BASE_TEST_SEED_HH
 
 #include <cstdint>
+#include <optional>
+
+#include "base/cli.hh"
 
 namespace dvi
 {
@@ -29,6 +32,33 @@ std::uint64_t testSeed(std::uint64_t fallback, const char *label);
 
 /** testSeed without the log line (for per-iteration lookups). */
 std::uint64_t testSeedQuiet(std::uint64_t fallback);
+
+/** A tool's --seed: its value where the flag is given, else the
+ * DVI_TEST_SEED override of `fallback`, read only then. */
+class SeedOption
+{
+  public:
+    explicit SeedOption(std::uint64_t fallback) : fallback_(fallback) {}
+
+    SeedOption(const SeedOption &) = delete;
+    SeedOption &operator=(const SeedOption &) = delete;
+
+    cli::Flag
+    flag(const char *value, const char *help)
+    {
+        return {"--seed", value, help, cli::store(given_)};
+    }
+
+    std::uint64_t
+    value() const
+    {
+        return given_ ? *given_ : testSeedQuiet(fallback_);
+    }
+
+  private:
+    std::uint64_t fallback_;
+    std::optional<std::uint64_t> given_;
+};
 
 /**
  * Derive a decorrelated sub-seed from a base seed and a salt

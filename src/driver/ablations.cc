@@ -165,44 +165,43 @@ renderLvmStackDepth(const CampaignReport &report, std::ostream &os)
 
 /** Fig. 5's sweep with a dense-E-DVI column: none vs. call-site
  * full vs. dense (§4.2's "high density" speculation). */
-Campaign
-buildRegfileDense(std::uint64_t insts)
+std::vector<unsigned>
+regfileDenseSizes()
 {
     std::vector<unsigned> sizes;
     for (unsigned n = 34; n <= 98; n += 8)
         sizes.push_back(n);
-    return Campaign(regfileGrid(
-        sizes,
-        {sim::presetNone(), sim::presetFull(), sim::presetDense()},
-        insts, "regfile-dense"));
+    return sizes;
+}
+
+std::vector<sim::DviPreset>
+regfileDensePresets()
+{
+    return {sim::presetNone(), sim::presetFull(), sim::presetDense()};
+}
+
+Campaign
+buildRegfileDense(std::uint64_t insts)
+{
+    return Campaign(regfileGrid(regfileDenseSizes(),
+                                regfileDensePresets(), insts,
+                                "regfile-dense"));
 }
 
 void
 renderRegfileDense(const CampaignReport &report, std::ostream &os)
 {
-    const std::size_t nbench = workload::allBenchmarks().size();
-    const std::size_t npresets = 3;
-    const std::size_t nsizes =
-        report.results.size() / (npresets * nbench);
+    const RegfileSweep sweep = regfileSweepFromReport(
+        report, regfileDenseSizes(), regfileDensePresets());
 
     Table t("Dense E-DVI: mean IPC vs. register file size");
     t.setHeader({"Registers", "No DVI", "E-DVI and I-DVI",
                  "Dense E-DVI"});
-    for (std::size_t s = 0; s < nsizes; ++s) {
-        std::vector<std::string> row;
-        for (std::size_t p = 0; p < npresets; ++p) {
-            double sum = 0.0;
-            for (std::size_t b = 0; b < nbench; ++b)
-                sum += report
-                           .results[(p * nsizes + s) * nbench + b]
-                           .run.ipc;
-            if (p == 0)
-                row.push_back(Table::fmt(std::uint64_t(
-                    report.results[s * nbench]
-                        .spec.scenario.hardware.core.numPhysRegs)));
-            row.push_back(
-                Table::fmt(sum / static_cast<double>(nbench), 3));
-        }
+    for (std::size_t s = 0; s < sweep.sizes.size(); ++s) {
+        std::vector<std::string> row = {
+            Table::fmt(std::uint64_t(sweep.sizes[s]))};
+        for (const std::vector<double> &ipc : sweep.meanIpc)
+            row.push_back(Table::fmt(ipc[s], 3));
         t.addRow(row);
     }
     os << t.render();

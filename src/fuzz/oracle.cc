@@ -402,6 +402,28 @@ applyKillFault(comp::Executable &exe, const FaultSpec &fault)
     return true;
 }
 
+cli::Flag
+killFaultFlag(const char *help, FaultSpec &fault)
+{
+    return {"--inject-kill-bit", "ORDINAL:REG", help,
+            [&fault](const cli::Arg &a) {
+                const std::string kv = a.text;
+                const std::size_t colon = kv.find(':');
+                fatal_if(colon == std::string::npos || colon == 0 ||
+                             colon + 1 >= kv.size(),
+                         a.flag, " wants ORDINAL:REG, got '", kv,
+                         "'");
+                fault.enabled = true;
+                fault.killOrdinal = cli::parseUint<unsigned>(
+                    a.flag, kv.substr(0, colon).c_str());
+                const std::uint64_t reg = cli::parseUint(
+                    a.flag, kv.substr(colon + 1).c_str());
+                fatal_if(reg == 0 || reg >= isa::numIntRegs, a.flag,
+                         " register must be 1..31");
+                fault.reg = static_cast<RegIndex>(reg);
+            }};
+}
+
 OracleReport
 runOracle(const prog::Module &mod, const OracleOptions &opts)
 {

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <string>
 
+#include "base/cli.hh"
 #include "compiler/executable.hh"
 #include "program/ir.hh"
 
@@ -101,6 +102,11 @@ struct OracleReport
  * already set — the caller should pick another spec.
  */
 bool applyKillFault(comp::Executable &exe, const FaultSpec &fault);
+
+/** The --inject-kill-bit ORDINAL:REG row of a tool's flag table:
+ * where it appears, `fault` asserts REG (1..31) dead at kill
+ * #ORDINAL; a malformed value is fatal. */
+cli::Flag killFaultFlag(const char *help, FaultSpec &fault);
 
 /** Run every enabled layer over one program. */
 OracleReport runOracle(const prog::Module &mod,

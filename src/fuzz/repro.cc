@@ -74,9 +74,11 @@ reproFromJson(const std::string &text, Repro &out)
         return "oracle.maxProgInsts missing";
     out.oracle.maxProgInsts = v->u64();
     v = oracle->find("lvmStackDepth");
-    if (!v || !v->isU64())
+    if (!v)
         return "oracle.lvmStackDepth missing";
-    out.oracle.lvmStackDepth = static_cast<unsigned>(v->u64());
+    std::string err = json::decode(*v, out.oracle.lvmStackDepth);
+    if (!err.empty())
+        return "oracle.lvmStackDepth: " + err;
     v = oracle->find("staticCheck");
     if (!v || !v->isBool())
         return "oracle.staticCheck missing";
@@ -98,10 +100,11 @@ reproFromJson(const std::string &text, Repro &out)
             return "fault is neither null nor an object";
         out.oracle.fault.enabled = true;
         v = fault->find("killOrdinal");
-        if (!v || !v->isU64())
+        if (!v)
             return "fault.killOrdinal missing";
-        out.oracle.fault.killOrdinal =
-            static_cast<unsigned>(v->u64());
+        err = json::decode(*v, out.oracle.fault.killOrdinal);
+        if (!err.empty())
+            return "fault.killOrdinal: " + err;
         v = fault->find("reg");
         if (!v || !v->isU64() || v->u64() >= 32)
             return "fault.reg missing or out of range";

@@ -12,8 +12,7 @@ namespace obs
 {
 
 const char *const kWallClockFields[] = {
-    "durationSeconds", "wallSeconds", "instsPerSec",
-    "programsPerSec",  "cyclesPerSec",
+    "durationSeconds", "wallSeconds", "instsPerSec", "programsPerSec",
 };
 const std::size_t kNumWallClockFields =
     sizeof(kWallClockFields) / sizeof(kWallClockFields[0]);

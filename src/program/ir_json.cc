@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <limits>
 
 namespace dvi
 {
@@ -90,6 +91,23 @@ intAt(const json::Value &a, std::size_t i, std::int64_t lo,
         return false;
     *out = n;
     return true;
+}
+
+/** Decode member `key` of object `obj` into `out`, at most `limit`:
+ * "" on success, else the reason naming `key`. */
+template <typename T>
+std::string
+member(const json::Value &obj, const char *key, T &out,
+       T limit = std::numeric_limits<T>::max())
+{
+    const json::Value *v = obj.find(key);
+    if (!v)
+        return std::string("missing ") + key;
+    std::string err = json::decode(*v, out);
+    if (err.empty() && out > limit)
+        err = "value " + std::to_string(out) +
+              " exceeds the load limit of " + std::to_string(limit);
+    return err.empty() ? err : key + (": " + err);
 }
 
 std::string
@@ -196,15 +214,12 @@ moduleFromJson(const json::Value &v, Module &out)
         return "missing module name";
     out.name = name->str();
 
-    std::int64_t n = 0;
-    const json::Value *mi = v.find("mainIndex");
-    const json::Value *gw = v.find("globalWords");
-    if (!mi || !mi->isU64())
-        return "missing mainIndex";
-    out.mainIndex = static_cast<int>(mi->u64());
-    if (!gw || !gw->isU64())
-        return "missing globalWords";
-    out.globalWords = static_cast<unsigned>(gw->u64());
+    std::string err = member(v, "mainIndex", out.mainIndex);
+    if (err.empty())
+        err = member(v, "globalWords", out.globalWords,
+                     maxLoadedGlobalWords);
+    if (!err.empty())
+        return err;
 
     const json::Value *procs = v.find("procs");
     if (!procs || !procs->isArray())
@@ -223,19 +238,17 @@ moduleFromJson(const json::Value &v, Module &out)
         if (!params || !params->isArray())
             return where + ": missing params";
         for (std::size_t i = 0; i < params->items().size(); ++i) {
-            n = 0;
+            std::int64_t n = 0;
             if (!intAt(*params, i, 1, 0xffffffffll, &n))
                 return where + ": bad param vreg";
             proc.params.push_back(static_cast<VReg>(n));
         }
-        const json::Value *slots = pv.find("localSlots");
-        if (!slots || !slots->isU64())
-            return where + ": missing localSlots";
-        proc.numLocalSlots = static_cast<unsigned>(slots->u64());
-        const json::Value *nv = pv.find("nextVReg");
-        if (!nv || !nv->isU64())
-            return where + ": missing nextVReg";
-        proc.nextVReg = static_cast<VReg>(nv->u64());
+        err = member(pv, "localSlots", proc.numLocalSlots);
+        if (err.empty())
+            err = member(pv, "nextVReg", proc.nextVReg,
+                         maxLoadedNextVReg);
+        if (!err.empty())
+            return where + ": " + err;
 
         const json::Value *blocks = pv.find("blocks");
         if (!blocks || !blocks->isArray())
@@ -248,8 +261,7 @@ moduleFromJson(const json::Value &v, Module &out)
             BasicBlock block;
             for (std::size_t ii = 0; ii < bv.items().size(); ++ii) {
                 IrInst inst;
-                const std::string err =
-                    instFromJson(bv.items()[ii], inst);
+                err = instFromJson(bv.items()[ii], inst);
                 if (!err.empty())
                     return where + ", block " + std::to_string(bi) +
                            ", inst " + std::to_string(ii) + ": " +
@@ -260,7 +272,7 @@ moduleFromJson(const json::Value &v, Module &out)
         }
         out.procs.push_back(std::move(proc));
     }
-    const std::string err = out.validate();
+    err = out.validate();
     if (!err.empty())
         return "loaded module invalid: " + err;
     return "";

@@ -28,6 +28,13 @@ namespace dvi
 namespace prog
 {
 
+/** Load limits, far above what the generators emit (at most 212
+ * vregs and 4,096 global words over the 7 benchmarks and 6,000 fuzz
+ * programs of seeds 1-3): a document past one is rejected before any
+ * pass sizes memory by it. */
+constexpr VReg maxLoadedNextVReg = 1u << 16;
+constexpr unsigned maxLoadedGlobalWords = 1u << 20;
+
 /** Lower-case token for an IR op, e.g. "addimm". */
 std::string irOpName(IrOp op);
 
@@ -36,7 +43,9 @@ json::Value moduleToJson(const Module &m);
 
 /**
  * Load a module from its JSON form. Returns "" on success or a
- * diagnostic naming the offending procedure/block/instruction. The
+ * diagnostic naming the offending field or procedure/block/
+ * instruction. Every integer is range-checked against its field's
+ * type, and nextVReg and globalWords against the load limits. The
  * loaded module passes Module::validate, the structure walk lint's
  * ir-structure rule also reports from, so a repro never reaches the
  * compiler with a vreg beyond its procedure's nextVReg.

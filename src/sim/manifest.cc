@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -61,7 +60,7 @@ tokensOf(workload::BenchmarkId)
 // ----------------------------------------- encode / decode by type
 //
 // Each decode returns "" on success or a reason without the path
-// (the caller prefixes it).
+// (the caller prefixes it); unsigned fields use json::decode.
 
 template <typename T>
 using IfUnsigned =
@@ -74,23 +73,6 @@ json::Value
 encode(T v)
 {
     return json::Value(static_cast<std::uint64_t>(v));
-}
-
-/** A u64 JSON value narrowed with a round-trip check. */
-template <typename T, IfUnsigned<T> = 0>
-std::string
-decode(const json::Value &v, T &out)
-{
-    if (!v.isU64())
-        return std::string("expected an unsigned integer, got ") +
-               v.typeName();
-    const T narrowed = static_cast<T>(v.u64());
-    if (static_cast<std::uint64_t>(narrowed) != v.u64())
-        return "value " + std::to_string(v.u64()) +
-               " is out of range (max " +
-               std::to_string(std::numeric_limits<T>::max()) + ")";
-    out = narrowed;
-    return "";
 }
 
 json::Value

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for base utilities: RegMask, DynBitset, Rng,
- * RingBuffer and the CLI argument parsers.
+ * RingBuffer, the CLI argument parsers and the CLI flag table.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "base/cli.hh"
 #include "base/dyn_bitset.hh"
@@ -461,6 +463,94 @@ TEST(CliDeath, ParseFractionRejectsNanAndOutOfRange)
         EXPECT_DEATH(cli::parseFraction("--structured-fraction", text),
                      "bad value for --structured-fraction")
             << "'" << text << "'";
+}
+
+/** Run `parser` over `args`, as the command line of "tool". */
+void
+parseArgs(const cli::Parser &parser, std::vector<std::string> args)
+{
+    std::string tool = "tool";
+    std::vector<char *> argv = {tool.data()};
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    parser.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+/** A table with repeatable flags, a number and a switch; every
+ * action appends what it saw to `log`. */
+cli::Parser
+loggingParser(std::vector<std::string> &log)
+{
+    const auto logValue = [&log](const cli::Arg &a) {
+        log.push_back(std::string(a.flag) + "=" + a.text);
+    };
+    return cli::Parser{
+        {"[options]"},
+        {
+            cli::heading("options:"),
+            {"--set", "PATH=VALUE", "repeatable", logValue},
+            {"--scenario", "NAME", "repeatable", logValue},
+            {"--jobs", "N", "a number",
+             [&log](const cli::Arg &a) {
+                 unsigned jobs = 0;
+                 cli::store(jobs)(a);
+                 log.push_back("jobs " + std::to_string(jobs));
+             }},
+            {"--quiet", "", "a switch",
+             [&log](const cli::Arg &a) {
+                 log.push_back(a.text ? "quiet with a value" : "quiet");
+             }},
+        }};
+}
+
+TEST(CliParser, ActsOnEachFlagInCommandLineOrder)
+{
+    std::vector<std::string> log;
+    const cli::Parser parser = loggingParser(log);
+    parseArgs(parser, {"--set", "a=1", "--quiet", "--scenario", "x",
+                       "--jobs", "4", "--set", "b=2", "--scenario",
+                       "--quiet"});
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       "--set=a=1", "quiet", "--scenario=x", "jobs 4",
+                       "--set=b=2", "--scenario=--quiet"}));
+}
+
+TEST(CliParserDeath, TheFirstErrorWins)
+{
+    std::vector<std::string> log;
+    const cli::Parser parser = loggingParser(log);
+    EXPECT_DEATH(parseArgs(parser, {"--jobs", "x", "--bogus"}),
+                 "bad value for --jobs: 'x'");
+    EXPECT_DEATH(parseArgs(parser, {"--bogus", "--jobs", "x"}),
+                 "unknown argument '--bogus'");
+    EXPECT_DEATH(parseArgs(parser, {"--quiet", "--jobs"}),
+                 "--jobs needs a value");
+    // A heading row has no name, so it matches no argument.
+    EXPECT_DEATH(parseArgs(parser, {""}), "unknown argument ''");
+    EXPECT_DEATH(parseArgs(parser, {"--jobs", "x", "--help"}),
+                 "bad value for --jobs");
+    EXPECT_EXIT(parseArgs(parser, {"--help", "--jobs", "x"}),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(parseArgs(parser, {"-h", "--bogus"}),
+                ::testing::ExitedWithCode(0), "");
+}
+
+TEST(CliParser, HelpPrintsTheSynopsisAndEveryRow)
+{
+    std::vector<std::string> log;
+    const cli::Parser parser = loggingParser(log);
+    ::testing::internal::CaptureStdout();
+    parser.printHelp("tool");
+    const std::string help = ::testing::internal::GetCapturedStdout();
+    for (const char *text :
+         {"usage: tool [options]\n", "\noptions:\n",
+          "  --set PATH=VALUE    repeatable\n",
+          "  --scenario NAME     repeatable\n",
+          "  --jobs N            a number\n",
+          "  --quiet             a switch\n",
+          "  --help              this text\n"})
+        EXPECT_NE(help.find(text), std::string::npos) << text;
+    EXPECT_TRUE(log.empty());
 }
 
 } // namespace

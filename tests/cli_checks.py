@@ -9,7 +9,10 @@ files into the current directory. CMake registers every check as
 ctest entry `cli_CHECK`, each in its own directory under the build
 tree, so every build type and sanitizer leg runs all of them:
 
-  determinism     reports are byte-identical across --jobs 1 and 2
+  determinism     fig05's report is byte-identical across --jobs 1
+                  and 2
+  determinism_ablation
+                  so is ablation-lvm-stack-depth's
   telemetry       dvi-run captures validate; telemetry changes no
                   report byte
   telemetry_fuzz  a dvi-fuzz capture validates
@@ -22,7 +25,8 @@ tree, so every build type and sanitizer leg runs all of them:
   serve           a live dvi-serve matches local runs, reuses its
                   compile cache, streams valid events, stops on SIGINT
   golden          dvi-golden regenerates tests/uarch_golden_values.inc
-  flags           malformed flag values and combinations are rejected
+  flags           malformed flag values and combinations are rejected;
+                  --help names every flag
 
 Captures are validated and the server is driven in this process by
 importing tools/check_telemetry.py and tools/serve_client.py. Exit
@@ -37,6 +41,7 @@ import glob
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -86,15 +91,25 @@ def captures_valid(paths, kinds=()):
         raise CheckFailed(f"telemetry capture(s) failed: {paths}")
 
 
+def same_across_jobs(scenario):
+    """One scenario's report is byte-identical at --jobs 1 and 2."""
+    run("dvi-run", "--scenario", scenario, "--jobs", "2",
+        "--max-insts", "20000", "--out", f"{scenario}-j2.json")
+    run("dvi-run", "--scenario", scenario, "--jobs", "1",
+        "--max-insts", "20000", "--out", f"{scenario}-j1.json",
+        "--quiet")
+    same(f"{scenario}-j1.json", f"{scenario}-j2.json")
+
+
 def determinism():
-    """Reports are byte-identical across worker counts."""
-    for scenario in ("fig05", "ablation-lvm-stack-depth"):
-        run("dvi-run", "--scenario", scenario, "--jobs", "2",
-            "--max-insts", "20000", "--out", f"{scenario}-j2.json")
-        run("dvi-run", "--scenario", scenario, "--jobs", "1",
-            "--max-insts", "20000", "--out", f"{scenario}-j1.json",
-            "--quiet")
-        same(f"{scenario}-j1.json", f"{scenario}-j2.json")
+    """fig05's report is byte-identical across worker counts."""
+    same_across_jobs("fig05")
+
+
+def determinism_ablation():
+    """So is ablation-lvm-stack-depth's (its own entry, so the two
+    pairs run in parallel under ctest -j)."""
+    same_across_jobs("ablation-lvm-stack-depth")
 
 
 def telemetry():
@@ -322,10 +337,35 @@ def golden():
                               f"differs from {path}")
 
 
+#: Every flag each tool's parser accepts besides --help / -h; the
+#: `flags` check wants each named in that tool's --help.
+TOOL_FLAGS = {
+    "dvi-run": ["--scenario", "--manifest", "--emit-manifest", "--set",
+                "--jobs", "--max-insts", "--mode", "--profile", "--out",
+                "--format", "--telemetry", "--metrics-interval",
+                "--progress", "--retries", "--chaos", "--lint",
+                "--quiet", "--list"],
+    "dvi-fuzz": ["--seed", "--programs", "--max-insts", "--stack-depth",
+                 "--structured-fraction", "--no-core", "--no-dense",
+                 "--no-static", "--no-minimize", "--repro-prefix",
+                 "--inject-kill-bit", "--telemetry",
+                 "--metrics-interval", "--progress", "--replay",
+                 "--emit"],
+    "dvi-lint": ["--all", "--scenario", "--manifest", "--repro",
+                 "--fuzz", "--list", "--seed", "--structured-fraction",
+                 "--advisory", "--inject-kill-bit", "--json",
+                 "--telemetry", "--quiet"],
+    "dvi-serve": ["--port", "--max-concurrent", "--max-queue", "--jobs",
+                  "--telemetry", "--io-timeout", "--retries", "--chaos"],
+}
+
+
 def flags():
-    """Malformed values and flag combinations exit 1 with a message
-    naming the flag, before any thread starts."""
+    """Malformed values and flag combinations exit with a message
+    naming the flag, before any thread starts; --help names every
+    flag."""
     emit_only = "--emit-manifest only combines with"
+    metrics_alone = "--metrics-interval requires --telemetry"
     cases = [
         (["dvi-run", "--jobs", "-1", "--list"], "bad value for --jobs"),
         (["dvi-run", "--jobs", "99999999999", "--list"],
@@ -343,15 +383,53 @@ def flags():
          emit_only),
         (["dvi-run", "--emit-manifest", "fig09", "--chaos",
           "driver.job=throw@once"], emit_only),
+        (["dvi-run", "--scenario", "fig02", "--metrics-interval", "5"],
+         metrics_alone),
+        (["dvi-fuzz", "--programs", "1", "--metrics-interval", "5"],
+         metrics_alone),
+        (["dvi-fuzz", "--emit", "x.json"],
+         "--emit only combines with --replay"),
+        (["dvi-serve", "--max-concurrent", "0"],
+         "--max-concurrent must be at least 1"),
+        (["dvi-run", "--set", "nonsense"],
+         "--set wants PATH=VALUE, got 'nonsense'"),
     ]
+    for tool in TOOL_FLAGS:
+        cases += [
+            ([tool, "--bogus"], "unknown argument '--bogus'"),
+            ([tool, "--telemetry"], "--telemetry needs a value"),
+        ]
+    for tool in ("dvi-fuzz", "dvi-lint"):
+        cases += [
+            ([tool, "--inject-kill-bit", "5"],
+             "--inject-kill-bit wants ORDINAL:REG, got '5'"),
+            ([tool, "--inject-kill-bit", "0:32"],
+             "--inject-kill-bit register must be 1..31"),
+        ]
     for (tool, *args), message in cases:
         proc = run(tool, *args, expect=(1,))
         if message not in proc.stderr:
             raise CheckFailed(f"stderr lacks {message!r}:\n"
                               f"{proc.stderr}")
 
+    proc = run("dvi-run", "--scenario", "fig02", "--mode", "bogus",
+               expect=(2,))
+    modes = "invalid DVI mode 'bogus' for --mode; valid values: " \
+            "none, idvi, full, dense"
+    if modes not in proc.stderr:
+        raise CheckFailed(f"stderr lacks {modes!r}:\n{proc.stderr}")
 
-CHECKS = {fn.__name__: fn for fn in (determinism, telemetry,
+    for tool, accepted in TOOL_FLAGS.items():
+        named = set(re.findall(r"--[a-z][a-z-]*",
+                               run(tool, "--help").stdout.decode()))
+        missing = [f for f in accepted if f not in named]
+        if missing:
+            raise CheckFailed(f"{tool} --help does not name "
+                              f"{', '.join(missing)}")
+
+
+CHECKS = {fn.__name__: fn for fn in (determinism,
+                                     determinism_ablation, telemetry,
                                      telemetry_fuzz, manifest, chaos,
                                      fuzz, fuzz_fault, lint, serve,
                                      golden, flags)}

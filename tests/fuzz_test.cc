@@ -151,6 +151,59 @@ TEST(IrJson, RejectsReadBeyondNextVRegNamingItsSite)
     EXPECT_NE(err.find("vreg 7"), std::string::npos) << err;
 }
 
+/** Load a one-procedure module's JSON (mainIndex 0, globalWords 40,
+ * nextVReg 2) with the text `from` replaced by `to`; return the
+ * loader's diagnostic. */
+std::string
+loadEdited(const std::string &from, const std::string &to)
+{
+    prog::Module mod;
+    mod.name = "edited";
+    mod.globalWords = 40;
+    mod.procs.resize(1);
+    prog::Procedure &main = mod.procs[0];
+    main.name = "main";
+    const int b = main.newBlock();
+    main.emit(b, prog::irLoadImm(main.newVReg(), 1));
+    main.emit(b, prog::irHalt());
+
+    std::string text = prog::moduleToJson(mod).dump(2);
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << text;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    const json::ParseResult parsed = json::parse(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.error;
+    prog::Module out;
+    return prog::moduleFromJson(parsed.value, out);
+}
+
+TEST(IrJson, RejectsMainIndexBeyondInt)
+{
+    EXPECT_EQ(loadEdited("\"mainIndex\": 0", "\"mainIndex\": 0"), "");
+    const std::string err =
+        loadEdited("\"mainIndex\": 0", "\"mainIndex\": 4294967296");
+    EXPECT_NE(err.find("mainIndex"), std::string::npos) << err;
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+}
+
+TEST(IrJson, RejectsGlobalWordsBeyondUnsigned)
+{
+    const std::string err = loadEdited("\"globalWords\": 40",
+                                       "\"globalWords\": 4294967336");
+    EXPECT_NE(err.find("globalWords"), std::string::npos) << err;
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+}
+
+TEST(IrJson, RejectsNextVRegAboveTheLoadLimit)
+{
+    // It fits a VReg, but liveness would size bit sets by it.
+    const std::string err = loadEdited("\"nextVReg\": 2",
+                                       "\"nextVReg\": 2000000000");
+    EXPECT_NE(err.find("proc 0: nextVReg"), std::string::npos) << err;
+    EXPECT_NE(err.find("load limit"), std::string::npos) << err;
+}
+
 TEST(Oracle, PassesOnGeneratedPrograms)
 {
     fuzz::FuzzConfig cfg;

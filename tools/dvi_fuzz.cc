@@ -8,102 +8,39 @@
  * run logs its seed and honors DVI_TEST_SEED, so any failure is
  * replayable; failures are minimized and written as self-contained
  * JSON repro manifests that `--replay` re-runs byte-identically.
- *
- * Usage:
- *   dvi-fuzz [--seed N] [--programs K] [--max-insts M]
- *            [--stack-depth D] [--structured-fraction F]
- *            [--no-core] [--no-dense] [--no-static] [--no-minimize]
- *            [--repro-prefix PATH]
- *            [--inject-kill-bit ORDINAL:REG]
- *            [--telemetry FILE|-] [--metrics-interval N]
- *            [--progress]
- *   dvi-fuzz --replay FILE [--emit FILE]
+ * Each flag is one row of the cli::Parser table in main(), which
+ * also prints `dvi-fuzz --help`.
  *
  * Exit status: 0 when every program passes (or a replayed repro
  * still fails exactly as recorded), 1 on failures.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
 
 #include "base/cli.hh"
 #include "base/logging.hh"
 #include "base/test_seed.hh"
 #include "fuzz/campaign.hh"
+#include "fuzz/oracle.hh"
 #include "fuzz/repro.hh"
-#include "obs/metrics.hh"
-#include "obs/progress.hh"
+#include "obs/cli_telemetry.hh"
 
 using namespace dvi;
 
 namespace
 {
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "       %s --replay FILE [--emit FILE]\n"
-        "\n"
-        "campaign options:\n"
-        "  --seed N        campaign seed (default 1; DVI_TEST_SEED\n"
-        "                  overrides when --seed is absent)\n"
-        "  --programs K    programs to generate (default 200)\n"
-        "  --max-insts M   per-program differential budget\n"
-        "                  (default 200000)\n"
-        "  --stack-depth D LVM-Stack depth for oracle and core\n"
-        "                  (default 16)\n"
-        "  --structured-fraction F  share of paper-shaped programs\n"
-        "                  in the mix (default 0.25)\n"
-        "  --no-core       skip the uarch::Core commit-stream layer\n"
-        "  --no-dense      skip the Dense-policy lockstep layer\n"
-        "  --no-static     skip the static kill-mask verifier\n"
-        "  --no-minimize   write failing programs unminimized\n"
-        "  --repro-prefix PATH  repro file prefix\n"
-        "                  (default fuzz-repro)\n"
-        "  --inject-kill-bit ORDINAL:REG  corrupt kill #ORDINAL\n"
-        "                  (mod kill count) by asserting REG dead —\n"
-        "                  fault injection to prove detection\n"
-        "  --telemetry F   stream NDJSON telemetry events to file F\n"
-        "                  ('-' = stderr)\n"
-        "  --metrics-interval N  flush a `metrics` event every N ms\n"
-        "                  (requires --telemetry)\n"
-        "  --progress      live progress line on stderr, rendered\n"
-        "                  from the telemetry event stream\n"
-        "\n"
-        "replay options:\n"
-        "  --replay FILE   load a repro manifest, re-run its oracle,\n"
-        "                  verify the recorded failure reproduces\n"
-        "  --emit FILE     re-emit the loaded repro (byte-identical\n"
-        "                  to its input by construction)\n",
-        argv0, argv0);
-}
-
-using cli::parseFraction;
-using cli::parseUint;
-using cli::readFile;
-
 int
 doReplay(const std::string &path, const std::string &emit_path)
 {
     fuzz::Repro repro;
-    const std::string err = fuzz::reproFromJson(readFile(path),
+    const std::string err = fuzz::reproFromJson(cli::readFile(path),
                                                 repro);
     fatal_if(!err.empty(), path, ": ", err);
 
-    if (!emit_path.empty()) {
-        std::ofstream out(emit_path, std::ios::binary);
-        fatal_if(!out, "cannot open '", emit_path,
-                 "' for writing");
-        out << fuzz::reproToJson(repro);
-        out.flush();
-        fatal_if(!out, "write to '", emit_path, "' failed");
-    }
+    if (!emit_path.empty())
+        cli::writeFile(emit_path, fuzz::reproToJson(repro));
 
     const fuzz::OracleReport rep = fuzz::replay(repro);
     if (rep.ok) {
@@ -135,83 +72,64 @@ main(int argc, char **argv)
     cfg.programs = 200;
     std::string replay_path;
     std::string emit_path;
-    bool seed_given = false;
-    std::string telemetry_path;
-    unsigned metrics_interval = 0;
-    bool progress = false;
+    SeedOption seed(cfg.seed);
+    obs::CliTelemetry telemetry;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            fatal_if(i + 1 >= argc, arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            cfg.seed = parseUint("--seed", value());
-            seed_given = true;
-        } else if (arg == "--programs") {
-            cfg.programs = parseUint<unsigned>("--programs", value());
-        } else if (arg == "--max-insts") {
-            cfg.oracle.maxProgInsts =
-                parseUint("--max-insts", value());
-        } else if (arg == "--stack-depth") {
-            cfg.oracle.lvmStackDepth =
-                parseUint<unsigned>("--stack-depth", value());
-        } else if (arg == "--structured-fraction") {
-            cfg.structuredFraction =
-                parseFraction("--structured-fraction", value());
-        } else if (arg == "--no-core") {
-            cfg.oracle.runCore = false;
-        } else if (arg == "--no-dense") {
-            cfg.oracle.runDense = false;
-        } else if (arg == "--no-static") {
-            cfg.oracle.staticCheck = false;
-        } else if (arg == "--no-minimize") {
-            cfg.minimizeFailures = false;
-        } else if (arg == "--repro-prefix") {
-            cfg.reproPrefix = value();
-        } else if (arg == "--inject-kill-bit") {
-            const std::string kv = value();
-            const std::size_t colon = kv.find(':');
-            fatal_if(colon == std::string::npos || colon == 0 ||
-                         colon + 1 >= kv.size(),
-                     "--inject-kill-bit wants ORDINAL:REG, got '",
-                     kv, "'");
-            cfg.oracle.fault.enabled = true;
-            cfg.oracle.fault.killOrdinal = parseUint<unsigned>(
-                "--inject-kill-bit", kv.substr(0, colon).c_str());
-            const std::uint64_t reg = parseUint(
-                "--inject-kill-bit", kv.substr(colon + 1).c_str());
-            fatal_if(reg == 0 || reg >= 32,
-                     "--inject-kill-bit register must be 1..31");
-            cfg.oracle.fault.reg = static_cast<RegIndex>(reg);
-        } else if (arg == "--telemetry") {
-            telemetry_path = value();
-        } else if (arg == "--metrics-interval") {
-            metrics_interval =
-                parseUint<unsigned>("--metrics-interval", value());
-        } else if (arg == "--progress") {
-            progress = true;
-        } else if (arg == "--replay") {
-            replay_path = value();
-        } else if (arg == "--emit") {
-            emit_path = value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            fatal("unknown argument '", arg, "'");
-        }
-    }
+    const cli::Parser cli{
+        {"[options]", "--replay FILE [--emit FILE]"},
+        {
+            cli::heading("campaign options:"),
+            seed.flag("N", "campaign seed (default 1; DVI_TEST_SEED "
+                           "overrides when --seed is absent)"),
+            {"--programs", "K", "programs to generate (default 200)",
+             cli::store(cfg.programs)},
+            {"--max-insts", "M",
+             "per-program differential budget (default 200000)",
+             cli::store(cfg.oracle.maxProgInsts)},
+            {"--stack-depth", "D",
+             "LVM-Stack depth for oracle and core (default 16)",
+             cli::store(cfg.oracle.lvmStackDepth)},
+            {"--structured-fraction", "F",
+             "share of paper-shaped programs in the mix (default "
+             "0.25)",
+             cli::store(cfg.structuredFraction)},
+            {"--no-core", "", "skip the uarch::Core commit-stream layer",
+             cli::set(cfg.oracle.runCore, false)},
+            {"--no-dense", "", "skip the Dense-policy lockstep layer",
+             cli::set(cfg.oracle.runDense, false)},
+            {"--no-static", "", "skip the static kill-mask verifier",
+             cli::set(cfg.oracle.staticCheck, false)},
+            {"--no-minimize", "", "write failing programs unminimized",
+             cli::set(cfg.minimizeFailures, false)},
+            {"--repro-prefix", "PATH",
+             "repro file prefix (default fuzz-repro)",
+             cli::store(cfg.reproPrefix)},
+            fuzz::killFaultFlag(
+                "corrupt kill #ORDINAL (mod kill count) by asserting "
+                "REG dead — fault injection to prove detection",
+                cfg.oracle.fault),
+            telemetry.fileFlag("stream NDJSON telemetry events to "
+                               "file F ('-' = stderr)"),
+            telemetry.intervalFlag(),
+            telemetry.progressFlag(),
+            cli::heading("replay options:"),
+            {"--replay", "FILE",
+             "load a repro manifest, re-run its oracle, verify the "
+             "recorded failure reproduces",
+             cli::store(replay_path)},
+            {"--emit", "FILE",
+             "re-emit the loaded repro (byte-identical to its input "
+             "by construction)",
+             cli::store(emit_path)},
+        }};
+    cli.parse(argc, argv);
 
     if (!replay_path.empty())
         return doReplay(replay_path, emit_path);
     fatal_if(!emit_path.empty(),
              "--emit only combines with --replay");
 
-    if (!seed_given)
-        cfg.seed = testSeedQuiet(cfg.seed);
+    cfg.seed = seed.value();
     std::fprintf(stderr,
                  "dvi-fuzz: seed %llu, %u programs, budget %llu "
                  "insts, stack depth %u%s (override seed with "
@@ -224,35 +142,13 @@ main(int argc, char **argv)
                  cfg.oracle.fault.enabled ? ", fault injection ON"
                                           : "");
 
-    fatal_if(metrics_interval && telemetry_path.empty(),
-             "--metrics-interval requires --telemetry");
-    std::unique_ptr<obs::TelemetrySink> sink;
-    if (!telemetry_path.empty())
-        sink = obs::TelemetrySink::open(telemetry_path);
-    else if (progress)
-        sink = std::make_unique<obs::TelemetrySink>();
-    obs::ProgressRenderer renderer;
-    if (sink && progress)
-        sink->addObserver(
-            [&renderer](const obs::Event &e) { renderer.observe(e); });
-    obs::MetricRegistry metrics;
-    std::unique_ptr<obs::MetricFlusher> flusher;
-    if (sink) {
-        cfg.telemetry = sink.get();
-        cfg.metrics = &metrics;
-        obs::setGlobalSink(sink.get());
-        if (metrics_interval)
-            flusher = std::make_unique<obs::MetricFlusher>(
-                metrics, *sink, metrics_interval);
-    }
+    cfg.telemetry = telemetry.open();
+    telemetry.installGlobal();
+    cfg.metrics = telemetry.startMetrics();
 
     const fuzz::FuzzResult result =
         fuzz::runFuzzCampaign(cfg, stderr);
-    flusher.reset();
-    if (sink) {
-        metrics.flush(*sink);
-        obs::setGlobalSink(nullptr);
-    }
+    telemetry.close();
     std::fprintf(
         stderr,
         "dvi-fuzz: %u programs (%u completed in budget), %llu "

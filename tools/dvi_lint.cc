@@ -17,12 +17,14 @@
  * clean tree must exit 0, an injected fault must exit 1 with an
  * `edvi-kill-live` finding naming the exact site.
  *
+ * Each flag is one row of the cli::Parser table in main(), which
+ * also prints `dvi-lint --help`.
+ *
  * Exit status: 0 when no Error/Warn findings (Info is advisory),
  * 1 otherwise.
  */
 
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -36,51 +38,13 @@
 #include "fuzz/campaign.hh"
 #include "fuzz/oracle.hh"
 #include "fuzz/repro.hh"
-#include "obs/telemetry.hh"
+#include "obs/cli_telemetry.hh"
 #include "sim/manifest.hh"
 
 using namespace dvi;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "\n"
-        "what to lint (default: --all):\n"
-        "  --all             every registered scenario's binaries\n"
-        "  --scenario NAME   one registered scenario\n"
-        "  --manifest FILE   a campaign manifest's binaries\n"
-        "  --repro FILE      a fuzz repro's program and binaries\n"
-        "  --fuzz N          N generated fuzz programs (the corpus\n"
-        "                    dvi-fuzz would generate from --seed)\n"
-        "  --list            list registered scenario names\n"
-        "\n"
-        "options:\n"
-        "  --seed S          fuzz corpus seed (default 1;\n"
-        "                    DVI_TEST_SEED overrides when absent)\n"
-        "  --structured-fraction F  share of paper-shaped programs\n"
-        "                    in the fuzz corpus (default 0.25)\n"
-        "  --advisory        also run the Info density rules\n"
-        "                    (ir-dead-store, edvi-kill-redundant,\n"
-        "                    edvi-kill-missed); never affects the\n"
-        "                    exit status\n"
-        "  --inject-kill-bit ORDINAL:REG  corrupt kill #ORDINAL (mod\n"
-        "                    kill count) in every E-DVI binary by\n"
-        "                    asserting REG dead before linting\n"
-        "  --json            print the finding report as JSON\n"
-        "  --telemetry F     stream `lint` NDJSON events to file F\n"
-        "                    ('-' = stderr)\n"
-        "  --quiet           suppress the findings table\n",
-        argv0);
-}
-
-using cli::parseFraction;
-using cli::parseUint;
-using cli::readFile;
 
 void
 lintRegistered(analysis::LintRun &run, const std::string &name)
@@ -126,66 +90,54 @@ main(int argc, char **argv)
     std::string manifest_path;
     std::string repro_path;
     std::uint64_t fuzz_count = 0;
-    std::uint64_t seed = 1;
-    bool seed_given = false;
+    SeedOption seed(1);
     double structured_fraction = 0.25;
-    std::string telemetry_path;
+    obs::CliTelemetry telemetry;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            fatal_if(i + 1 >= argc, arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--scenario") {
-            scenario_names.push_back(value());
-        } else if (arg == "--all") {
-            all = true;
-        } else if (arg == "--manifest") {
-            manifest_path = value();
-        } else if (arg == "--repro") {
-            repro_path = value();
-        } else if (arg == "--fuzz") {
-            fuzz_count = parseUint("--fuzz", value());
-        } else if (arg == "--seed") {
-            seed = parseUint("--seed", value());
-            seed_given = true;
-        } else if (arg == "--structured-fraction") {
-            structured_fraction =
-                parseFraction("--structured-fraction", value());
-        } else if (arg == "--advisory") {
-            lint_opts.advisory = true;
-        } else if (arg == "--inject-kill-bit") {
-            const std::string kv = value();
-            const std::size_t colon = kv.find(':');
-            fatal_if(colon == std::string::npos || colon == 0 ||
-                         colon + 1 >= kv.size(),
-                     "--inject-kill-bit wants ORDINAL:REG, got '",
-                     kv, "'");
-            fault.enabled = true;
-            fault.killOrdinal = parseUint<unsigned>(
-                "--inject-kill-bit", kv.substr(0, colon).c_str());
-            const std::uint64_t reg = parseUint(
-                "--inject-kill-bit", kv.substr(colon + 1).c_str());
-            fatal_if(reg == 0 || reg >= 32,
-                     "--inject-kill-bit register must be 1..31");
-            fault.reg = static_cast<RegIndex>(reg);
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--telemetry") {
-            telemetry_path = value();
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--list") {
-            list = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            fatal("unknown argument '", arg, "'");
-        }
-    }
+    const cli::Parser cli{
+        {"[options]"},
+        {
+            cli::heading("what to lint (default: --all):"),
+            {"--all", "", "every registered scenario's binaries",
+             cli::set(all)},
+            {"--scenario", "NAME", "one registered scenario",
+             [&](const cli::Arg &a) {
+                 scenario_names.push_back(a.text);
+             }},
+            {"--manifest", "FILE", "a campaign manifest's binaries",
+             cli::store(manifest_path)},
+            {"--repro", "FILE", "a fuzz repro's program and binaries",
+             cli::store(repro_path)},
+            {"--fuzz", "N",
+             "N generated fuzz programs (the corpus dvi-fuzz would "
+             "generate from --seed)",
+             cli::store(fuzz_count)},
+            {"--list", "", "list registered scenario names",
+             cli::set(list)},
+            cli::heading("options:"),
+            seed.flag("S", "fuzz corpus seed (default 1; "
+                           "DVI_TEST_SEED overrides when absent)"),
+            {"--structured-fraction", "F",
+             "share of paper-shaped programs in the fuzz corpus "
+             "(default 0.25)",
+             cli::store(structured_fraction)},
+            {"--advisory", "",
+             "also run the Info density rules (ir-dead-store, "
+             "edvi-kill-redundant, edvi-kill-missed); never affects "
+             "the exit status",
+             cli::set(lint_opts.advisory)},
+            fuzz::killFaultFlag(
+                "corrupt kill #ORDINAL (mod kill count) in every "
+                "E-DVI binary by asserting REG dead before linting",
+                fault),
+            {"--json", "", "print the finding report as JSON",
+             cli::set(json)},
+            telemetry.fileFlag("stream `lint` NDJSON events to file F "
+                               "('-' = stderr)"),
+            {"--quiet", "", "suppress the findings table",
+             cli::set(quiet)},
+        }};
+    cli.parse(argc, argv);
 
     if (list) {
         for (const std::string &name :
@@ -216,7 +168,7 @@ main(int argc, char **argv)
     if (!manifest_path.empty()) {
         sim::CampaignManifest manifest;
         const std::string err = sim::manifestFromJson(
-            readFile(manifest_path), manifest);
+            cli::readFile(manifest_path), manifest);
         fatal_if(!err.empty(), manifest_path, ": ", err);
         run.lintScenarios(manifest.scenarios);
     }
@@ -224,7 +176,7 @@ main(int argc, char **argv)
     if (!repro_path.empty()) {
         fuzz::Repro repro;
         const std::string err =
-            fuzz::reproFromJson(readFile(repro_path), repro);
+            fuzz::reproFromJson(cli::readFile(repro_path), repro);
         fatal_if(!err.empty(), repro_path, ": ", err);
         std::set<comp::EdviPolicy> policies = {
             comp::EdviPolicy::None, comp::EdviPolicy::CallSites};
@@ -234,11 +186,9 @@ main(int argc, char **argv)
                      policies);
     }
 
-    if (fuzz_count) {
-        if (!seed_given)
-            seed = testSeedQuiet(seed);
-        lintFuzzCorpus(run, seed, fuzz_count, structured_fraction);
-    }
+    if (fuzz_count)
+        lintFuzzCorpus(run, seed.value(), fuzz_count,
+                       structured_fraction);
 
     if (fault.enabled && !faulted) {
         std::fprintf(stderr,
@@ -246,11 +196,7 @@ main(int argc, char **argv)
                      "instruction in any linted binary\n");
     }
 
-    std::unique_ptr<obs::TelemetrySink> sink;
-    if (!telemetry_path.empty()) {
-        sink = obs::TelemetrySink::open(telemetry_path);
-        run.report().emitTelemetry(sink.get(), run.units());
-    }
+    run.report().emitTelemetry(telemetry.open(), run.units());
 
     if (json) {
         std::printf("%s", run.report().toJson().dump(2).c_str());

@@ -11,26 +11,15 @@
  * deterministic: `--jobs 8` emits a byte-identical file to
  * `--jobs 1` (wall-clock goes to stderr, not into the report).
  *
- * Usage:
- *   dvi-run --scenario NAME [--jobs N] [--max-insts M]
- *           [--mode none|idvi|full|dense] [--set path=value]...
- *           [--out results.json] [--format json|csv] [--quiet]
- *   dvi-run --manifest FILE [same options]
- *   dvi-run --emit-manifest NAME [--max-insts M] [--set ...]
- *           [--out manifest.json]
- *   dvi-run --list
+ * Each flag is one row of the cli::Parser table in main(), which
+ * also prints `dvi-run --help`.
  */
 
-#include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,8 +29,7 @@
 #include "base/failpoint.hh"
 #include "base/logging.hh"
 #include "driver/scenario_registry.hh"
-#include "obs/metrics.hh"
-#include "obs/progress.hh"
+#include "obs/cli_telemetry.hh"
 #include "obs/trace.hh"
 #include "sim/manifest.hh"
 #include "sim/scenario.hh"
@@ -50,85 +38,6 @@ using namespace dvi;
 
 namespace
 {
-
-/** Calls `f` once, when the guard goes out of scope. */
-template <typename F>
-class OnExit
-{
-  public:
-    explicit OnExit(F f) : f_(std::move(f)) {}
-    ~OnExit() { f_(); }
-    OnExit(const OnExit &) = delete;
-    OnExit &operator=(const OnExit &) = delete;
-
-  private:
-    F f_;
-};
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s --scenario NAME [options]\n"
-        "       %s --manifest FILE [options]\n"
-        "       %s --emit-manifest NAME [--out FILE]\n"
-        "       %s --list\n"
-        "\n"
-        "campaign sources (exactly one):\n"
-        "  --scenario NAME registered scenario to run (see --list);\n"
-        "                  paper figure N is figNN\n"
-        "  --manifest FILE run a JSON campaign manifest; campaign\n"
-        "                  reports also load here (they embed their\n"
-        "                  resolved scenarios)\n"
-        "\n"
-        "options:\n"
-        "  --emit-manifest NAME  write the named scenario's fully\n"
-        "                  expanded manifest (to --out, else stdout)\n"
-        "                  instead of running it\n"
-        "  --set PATH=VALUE      override one bound scenario field\n"
-        "                  on every job, e.g. --set\n"
-        "                  hardware.core.windowSize=128 or --set\n"
-        "                  preset=dense; repeatable, applies to any\n"
-        "                  campaign source\n"
-        "  --jobs N        worker threads (default 1; 0 = one per\n"
-        "                  hardware thread)\n"
-        "  --max-insts M   per-run dynamic instruction budget\n"
-        "                  (default: the scenario's own)\n"
-        "  --mode M        run only the jobs of one DVI preset\n"
-        "                  (none, idvi, full, dense); renders the\n"
-        "                  generic report table\n"
-        "  --profile       measure per-job wall-clock; adds wallSeconds\n"
-        "                  and instsPerSec to reports (breaks report\n"
-        "                  byte-stability across runs)\n"
-        "  --out FILE      write a machine-readable report (or the\n"
-        "                  manifest, under --emit-manifest)\n"
-        "  --format F      report format: json (default) or csv\n"
-        "  --telemetry F   stream NDJSON telemetry events to file F\n"
-        "                  ('-' = stderr); reports stay\n"
-        "                  byte-identical with or without it\n"
-        "  --metrics-interval N\n"
-        "                  flush a `metrics` event every N ms\n"
-        "                  (requires --telemetry)\n"
-        "  --progress      live progress line on stderr, rendered\n"
-        "                  from the telemetry event stream\n"
-        "  --retries N     per-job retry budget for transient\n"
-        "                  failures (default 2); exhausted retries\n"
-        "                  quarantine the job and mark the report\n"
-        "                  degraded (exit 3)\n"
-        "  --chaos SPEC    arm deterministic failpoints, e.g.\n"
-        "                  'driver.compile=throw@1in20,seed=42'\n"
-        "                  (also: DVI_CHAOS env var); see DESIGN.md\n"
-        "                  §12\n"
-        "  --lint          statically verify every binary the\n"
-        "                  campaign will run (src/analysis rules,\n"
-        "                  including the independent E-DVI kill-mask\n"
-        "                  prover) before any job launches; findings\n"
-        "                  abort the run with exit 1\n"
-        "  --quiet         suppress the tables on stdout\n"
-        "  --list          list registered scenarios and exit\n"
-        "  --help          this text\n",
-        argv0, argv0, argv0, argv0);
-}
 
 void
 listScenarios()
@@ -147,9 +56,6 @@ listScenarios()
                     s.description.c_str());
     }
 }
-
-using cli::parseUint;
-using cli::readFile;
 
 /** One --set override, kept in command-line order. */
 struct Override
@@ -172,19 +78,6 @@ applyOverrides(sim::Scenario &s,
     }
 }
 
-// SIGINT/SIGTERM request a *cooperative* stop: the campaign skips
-// jobs that have not started, in-flight jobs stop at their next
-// cancel poll, and every sink flushes whole NDJSON lines before
-// exit 0. The handler itself only flips the lock-free atomic
-// (async-signal-safe); the jobs poll it directly.
-std::atomic<bool> g_interrupted{false};
-
-void
-onSignal(int)
-{
-    g_interrupted.store(true);
-}
-
 } // namespace
 
 int
@@ -193,7 +86,7 @@ main(int argc, char **argv)
     std::string scenario;
     std::string manifest_path;
     std::string emit_manifest;
-    unsigned jobs = 1;
+    std::optional<unsigned> jobs;
     std::uint64_t max_insts = 0;
     bool profile = false;
     std::string out_path;
@@ -201,83 +94,96 @@ main(int argc, char **argv)
     std::string mode_filter;
     std::vector<Override> overrides;
     bool quiet = false;
-    bool jobs_given = false;
-    std::string telemetry_path;
-    unsigned metrics_interval = 0;
-    bool progress = false;
+    obs::CliTelemetry telemetry;
     std::string chaos_spec;
-    bool retries_given = false;
-    unsigned retries = 0;
+    std::optional<unsigned> retries;
     bool lint = false;
 
-    // Failpoints arm before anything can hit one; an explicit
-    // --chaos below replaces the environment's spec.
-    {
-        const std::string err = fail::configureFromEnv();
-        fatal_if(!err.empty(), "DVI_CHAOS: ", err);
-    }
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            fatal_if(i + 1 >= argc, arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--scenario") {
-            scenario = value();
-        } else if (arg == "--manifest") {
-            manifest_path = value();
-        } else if (arg == "--emit-manifest") {
-            emit_manifest = value();
-        } else if (arg == "--set") {
-            const std::string kv = value();
-            const std::size_t eq = kv.find('=');
-            fatal_if(eq == std::string::npos || eq == 0,
-                     "--set wants PATH=VALUE, got '", kv, "'");
-            overrides.push_back(
-                {kv.substr(0, eq), kv.substr(eq + 1)});
-        } else if (arg == "--jobs") {
-            jobs = parseUint<unsigned>("--jobs", value());
-            jobs_given = true;
-        } else if (arg == "--max-insts") {
-            max_insts = parseUint("--max-insts", value());
-        } else if (arg == "--mode") {
-            mode_filter = value();
-        } else if (arg == "--out") {
-            out_path = value();
-        } else if (arg == "--format") {
-            format = value();
-        } else if (arg == "--profile") {
-            profile = true;
-        } else if (arg == "--telemetry") {
-            telemetry_path = value();
-        } else if (arg == "--metrics-interval") {
-            metrics_interval =
-                parseUint<unsigned>("--metrics-interval", value());
-        } else if (arg == "--progress") {
-            progress = true;
-        } else if (arg == "--chaos") {
-            chaos_spec = value();
-            const std::string err = fail::configure(chaos_spec);
-            fatal_if(!err.empty(), "--chaos: ", err);
-        } else if (arg == "--retries") {
-            retries = parseUint<unsigned>("--retries", value());
-            retries_given = true;
-        } else if (arg == "--lint") {
-            lint = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--list") {
-            listScenarios();
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            fatal("unknown argument '", arg, "'");
-        }
-    }
+    const cli::Parser cli{
+        {"--scenario NAME [options]", "--manifest FILE [options]",
+         "--emit-manifest NAME [--out FILE]", "--list"},
+        {
+            cli::heading("campaign sources (exactly one):"),
+            {"--scenario", "NAME",
+             "registered scenario to run (see --list); paper figure "
+             "N is figNN",
+             cli::store(scenario)},
+            {"--manifest", "FILE",
+             "run a JSON campaign manifest; campaign reports also "
+             "load here (they embed their resolved scenarios)",
+             cli::store(manifest_path)},
+            cli::heading("options:"),
+            {"--emit-manifest", "NAME",
+             "write the named scenario's fully expanded manifest (to "
+             "--out, else stdout) instead of running it",
+             cli::store(emit_manifest)},
+            {"--set", "PATH=VALUE",
+             "override one bound scenario field on every job, e.g. "
+             "--set hardware.core.windowSize=128 or --set "
+             "preset=dense; repeatable, applies to any campaign "
+             "source",
+             [&](const cli::Arg &a) {
+                 const std::string kv = a.text;
+                 const std::size_t eq = kv.find('=');
+                 fatal_if(eq == std::string::npos || eq == 0,
+                          "--set wants PATH=VALUE, got '", kv, "'");
+                 overrides.push_back(
+                     {kv.substr(0, eq), kv.substr(eq + 1)});
+             }},
+            {"--jobs", "N",
+             "worker threads (default 1; 0 = one per hardware "
+             "thread)",
+             cli::store(jobs)},
+            {"--max-insts", "M",
+             "per-run dynamic instruction budget (default: the "
+             "scenario's own)",
+             cli::store(max_insts)},
+            {"--mode", "M",
+             "run only the jobs of one DVI preset (none, idvi, full, "
+             "dense); renders the generic report table",
+             cli::store(mode_filter)},
+            {"--profile", "",
+             "measure per-job wall-clock; adds wallSeconds and "
+             "instsPerSec to reports (breaks report byte-stability "
+             "across runs)",
+             cli::set(profile)},
+            {"--out", "FILE",
+             "write a machine-readable report (or the manifest, "
+             "under --emit-manifest)",
+             cli::store(out_path)},
+            {"--format", "F", "report format: json (default) or csv",
+             cli::store(format)},
+            telemetry.fileFlag(
+                "stream NDJSON telemetry events to file F ('-' = "
+                "stderr); reports stay byte-identical with or "
+                "without it"),
+            telemetry.intervalFlag(),
+            telemetry.progressFlag(),
+            {"--retries", "N",
+             "per-job retry budget for transient failures (default "
+             "2); exhausted retries quarantine the job and mark the "
+             "report degraded (exit 3)",
+             cli::store(retries)},
+            fail::chaosFlag(
+                "arm deterministic failpoints, e.g. "
+                "'driver.compile=throw@1in20,seed=42' (also: "
+                "DVI_CHAOS env var); see DESIGN.md §12",
+                &chaos_spec),
+            {"--lint", "",
+             "statically verify every binary the campaign will run "
+             "(src/analysis rules, including the independent E-DVI "
+             "kill-mask prover) before any job launches; findings "
+             "abort the run with exit 1",
+             cli::set(lint)},
+            {"--quiet", "", "suppress the tables on stdout",
+             cli::set(quiet)},
+            {"--list", "", "list registered scenarios and exit",
+             [](const cli::Arg &) {
+                 listScenarios();
+                 std::exit(0);
+             }},
+        }};
+    cli.parse(argc, argv);
 
     // ------------------------------------------------ emit-manifest
     if (!emit_manifest.empty()) {
@@ -287,10 +193,9 @@ main(int argc, char **argv)
         // Run-only flags are rejected rather than silently ignored:
         // a user passing --mode expects a smaller manifest, not the
         // full grid.
-        fatal_if(!mode_filter.empty() || jobs_given ||
+        fatal_if(!mode_filter.empty() || jobs ||
                      format != "json" || profile || quiet ||
-                     !telemetry_path.empty() || metrics_interval ||
-                     progress || lint || retries_given ||
+                     telemetry.requested() || lint || retries ||
                      !chaos_spec.empty(),
                  "--emit-manifest only combines with --max-insts, "
                  "--set, and --out");
@@ -299,16 +204,10 @@ main(int argc, char **argv)
         for (sim::Scenario &s : m.scenarios)
             applyOverrides(s, overrides);
         const std::string text = sim::manifestToJson(m);
-        if (out_path.empty()) {
+        if (out_path.empty())
             std::fputs(text.c_str(), stdout);
-        } else {
-            std::ofstream out(out_path, std::ios::binary);
-            fatal_if(!out, "cannot open '", out_path,
-                     "' for writing");
-            out << text;
-            out.flush();
-            fatal_if(!out, "write to '", out_path, "' failed");
-        }
+        else
+            cli::writeFile(out_path, text);
         return 0;
     }
 
@@ -316,7 +215,7 @@ main(int argc, char **argv)
     fatal_if(!scenario.empty() && !manifest_path.empty(),
              "--scenario and --manifest are mutually exclusive");
     if (scenario.empty() && manifest_path.empty()) {
-        usage(argv[0]);
+        cli.printHelp(argv[0]);
         fatal("--scenario is required (or --manifest / --list)");
     }
     const driver::ReportFormat fmt =
@@ -336,7 +235,7 @@ main(int argc, char **argv)
                          "valid values: %s\n",
                          argv[0], mode_filter.c_str(),
                          sim::presetTokens().c_str());
-            usage(argv[0]);
+            cli.printHelp(argv[0]);
             return 2;
         }
         preset_token = preset->name;
@@ -351,7 +250,7 @@ main(int argc, char **argv)
     } else {
         sim::CampaignManifest m;
         const std::string err =
-            sim::manifestFromJson(readFile(manifest_path), m);
+            sim::manifestFromJson(cli::readFile(manifest_path), m);
         fatal_if(!err.empty(), manifest_path, ": ", err);
         fatal_if(max_insts != 0,
                  "--max-insts does not apply to manifests; use "
@@ -395,51 +294,17 @@ main(int argc, char **argv)
     }
 
     driver::CampaignOptions copts;
-    copts.jobs = jobs;
+    copts.jobs = jobs.value_or(1);
     copts.profile = profile;
-    if (retries_given)
-        copts.retry.maxRetries = retries;
+    copts.retry.maxRetries = retries.value_or(copts.retry.maxRetries);
 
     // Telemetry is strictly out of band: the sink (a file under
     // --telemetry, observer-only under a bare --progress) sees every
-    // event, and the report is byte-identical either way.
-    fatal_if(metrics_interval && telemetry_path.empty(),
-             "--metrics-interval requires --telemetry");
-    std::unique_ptr<obs::TelemetrySink> sink;
-    if (!telemetry_path.empty())
-        sink = obs::TelemetrySink::open(telemetry_path);
-    else if (progress)
-        sink = std::make_unique<obs::TelemetrySink>();
-    obs::ProgressRenderer renderer;
-    if (sink && progress)
-        sink->addObserver(
-            [&renderer](const obs::Event &e) { renderer.observe(e); });
-    obs::MetricRegistry metrics;
-    std::unique_ptr<obs::MetricFlusher> flusher;
-    if (sink) {
-        copts.telemetry = sink.get();
-        copts.metrics = &metrics;
-        // Global escape hatch for layers without plumbing: the
-        // timing core's mid-run samples and the warn()/inform()
-        // mirror. Cleared before the sink dies, below.
-        obs::setGlobalSink(sink.get());
-        obs::setCoreSampleInsts(10000);
-        if (metrics_interval)
-            flusher = std::make_unique<obs::MetricFlusher>(
-                metrics, *sink, metrics_interval);
-    }
-    // Every exit from here on ends telemetry the same way: stop the
-    // periodic flusher, write the final metrics event (after the
-    // aggregate phase on a normal run) and detach the global sink
-    // before it dies.
-    const OnExit endTelemetry([&] {
-        flusher.reset();
-        if (sink) {
-            metrics.flush(*sink);
-            obs::setGlobalSink(nullptr);
-            obs::setCoreSampleInsts(0);
-        }
-    });
+    // event, and the report is byte-identical either way. Every exit
+    // from here on ends it the same way, when `telemetry` dies.
+    copts.telemetry = telemetry.open();
+    telemetry.installGlobal();
+    copts.metrics = telemetry.startMetrics();
 
     // ------------------------------------------- pre-launch lint
     // Statically verify every distinct (benchmark, policy) binary
@@ -454,7 +319,7 @@ main(int argc, char **argv)
         run.lintScenarios(scenarios);
         const analysis::FindingReport &findings = run.report();
         const std::size_t binaries = run.binaries();
-        findings.emitTelemetry(sink.get(), run.units());
+        findings.emitTelemetry(copts.telemetry, run.units());
         if (findings.failing()) {
             findings.toTable("pre-launch lint findings").print();
             std::fprintf(
@@ -473,9 +338,11 @@ main(int argc, char **argv)
                      binaries == 1 ? "y" : "ies");
     }
 
-    copts.cancel = &g_interrupted;
-    std::signal(SIGINT, &onSignal);
-    std::signal(SIGTERM, &onSignal);
+    // SIGINT/SIGTERM request a *cooperative* stop: the campaign
+    // skips jobs that have not started, in-flight jobs stop at their
+    // next cancel poll, and every sink flushes whole NDJSON lines
+    // before exit 0.
+    copts.cancel = &cli::stopOnSignal();
 
     const auto t0 = std::chrono::steady_clock::now();
     driver::CampaignReport report;
@@ -505,7 +372,7 @@ main(int argc, char **argv)
         std::chrono::duration<double>(t1 - t0).count();
 
     {
-        obs::PhaseSpan span(sink.get(), "aggregate");
+        obs::PhaseSpan span(copts.telemetry, "aggregate");
         if (!quiet) {
             if (!generic_render && entry && entry->render)
                 entry->render(report, std::cout);
